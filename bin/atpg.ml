@@ -495,7 +495,7 @@ let inject_arg =
   let doc =
     Printf.sprintf
       "Failure-injection point $(docv) (testing hook), as \
-       NAME[=PROB][\\@MAX]: e.g. $(b,dc.no_convergence=0.3\\@5). Known \
+       NAME[=PROB][@MAX]: e.g. $(b,dc.no_convergence=0.3@5). Known \
        points: %s. Repeatable."
       (String.concat ", " Numerics.Failpoint.known_points)
   in
@@ -938,6 +938,26 @@ let render_profile (run_result : Engine.run) =
              hit_rate batched fallback;
            ];
          ]);
+  (* transient steps and how many needed local refinement; the Newton
+     iterations per step solve follow in their histogram section *)
+  let steps = value "solver.tran.steps" in
+  if steps > 0 then begin
+    let refined = value "solver.tran.refined_steps" in
+    section "Transient steps"
+      (Report.Table.of_rows
+         ~headers:
+           [ ("metric", Report.Table.Left); ("value", Report.Table.Right) ]
+         [
+           [ "simulations"; string_of_int (value "solver.tran.simulations") ];
+           [ "steps"; string_of_int steps ];
+           [ "refined steps"; string_of_int refined ];
+           [
+             "refined share";
+             Printf.sprintf "%.3f%%"
+               (100. *. float_of_int refined /. float_of_int steps);
+           ];
+         ])
+  end;
   section "Counters"
     (Report.Table.of_rows
        ~headers:[ ("counter", Report.Table.Left); ("value", Report.Table.Right) ]

@@ -153,28 +153,27 @@ let newton_alloc ~options ~companions ~source_scale ~restamp ~gmin sys ~time
    with Mat.Singular _ | Diverged -> converged := false);
   if !converged then Some (!x, !iters) else None
 
-(* The same Newton iteration restamping a caller-owned workspace: the
-   system is assembled into the preallocated matrix, factored in place,
-   solved into the swap buffer, and the damped update overwrites it — no
-   per-iteration allocation.  Every arithmetic expression matches
-   [newton_alloc] term for term (the [x +. alpha *. (x_new -. x)] form is
-   kept even at [alpha = 1.], where it is not a bitwise no-op), so both
-   paths converge along identical trajectories. *)
-let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ?rank1 sys ws
-    ~time ~start =
+(* The same Newton iteration restamping a caller-owned workspace whose
+   overrides and time are already bound: the system is assembled into
+   the preallocated matrix, factored in place, solved into the swap
+   buffer, and the damped update overwrites it — no per-iteration
+   allocation.  Every arithmetic expression matches [newton_alloc] term
+   for term (the [x +. alpha *. (x_new -. x)] form is kept even at
+   [alpha = 1.], where it is not a bitwise no-op), so both paths
+   converge along identical trajectories.  Returns the iteration count
+   of a converged attempt, whose solution is left in [ws.w_x], or 0. *)
+let newton_ws ~options ?companions ~source_scale ~gmin ?rank1 sys ws ~start =
   let n_nodes = Mna.n_nodes sys in
   let size = Vec.dim start in
   Array.blit start 0 ws.Mna.w_x 0 size;
   let converged = ref false in
   let iters = ref 0 in
-  let factors = ref 0 in
-  let reuses = ref 0 in
   (try
      while (not !converged) && !iters < options.max_newton do
        incr iters;
        if Failpoint.should_fail "dc.singular" then raise (Mat.Singular 0);
-       Mna.assemble_into sys ws ~x:ws.Mna.w_x ~time ?companions ~source_scale
-         ?restamp ~gmin ();
+       Mna.assemble_bound sys ws ~x:ws.Mna.w_x ?companions ~source_scale ~gmin
+         ();
        (* The first iteration of a continuation solve goes through the
           held factorization by Sherman-Morrison when the conditioning
           guard admits it; everything else is the ordinary
@@ -196,8 +195,7 @@ let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ?rank1 sys ws
          | Some _ | None -> false
        in
        if not solved_rank1 then begin
-         if Mna.ws_factor ws then incr reuses;
-         incr factors;
+         ignore (Mna.ws_factor ws : bool);
          Mna.ws_solve_into ws ws.Mna.w_z ws.Mna.w_x_new
        end;
        let x = ws.Mna.w_x and x_new = ws.Mna.w_x_new in
@@ -227,16 +225,64 @@ let newton_ws ~options ~companions ~source_scale ~restamp ~gmin ?rank1 sys ws
        ws.Mna.w_x_new <- x
      done
    with Mat.Singular _ | Diverged -> converged := false);
-  if !converged then Some (Vec.copy ws.Mna.w_x, !iters, !factors, !reuses)
+  if !converged then !iters else 0
+
+(* A workspace attempt as the stepping ladders consume it: the solution
+   copied out, with the attempt's factorizations and pattern replays
+   read off the workspace's own tallies. *)
+let attempt_ws ~options ?companions ~source_scale ?rank1 sys ws ~gmin ~scale
+    start =
+  let f0 = ws.Mna.w_factors and r0 = ws.Mna.w_reuses in
+  let it =
+    newton_ws ~options ?companions ~source_scale:(scale *. source_scale) ~gmin
+      ?rank1 sys ws ~start
+  in
+  if it > 0 then
+    Some (Vec.copy ws.Mna.w_x, it, ws.Mna.w_factors - f0, ws.Mna.w_reuses - r0)
   else None
 
-let solve_u ?(options = default_options) ?guess ?companions
-    ?(source_scale = 1.) ?workspace ?restamp ?continuation sys ~time =
+let injected_failure sys =
   if Failpoint.should_fail "dc.no_convergence" then
     raise
       (No_convergence
          (Printf.sprintf "injected failure at dc.no_convergence (%S)"
-            (Netlist.title (Mna.netlist sys))));
+            (Netlist.title (Mna.netlist sys))))
+
+(* Homotopy after a failed direct attempt, seeded from the cold start:
+   gmin stepping (relax, then tighten back to the final gmin), then
+   source stepping at the final gmin.  Returns the last attempt's
+   result with the stages each ladder used. *)
+let ladder ~options ~attempt ~start sys =
+  let gmins = [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-8; 1e-10; options.gmin ] in
+  let rec walk ~stage x_opt steps = function
+    | [] -> (x_opt, steps)
+    | v :: rest -> begin
+        let start = match x_opt with Some (x, _, _, _) -> x | None -> start in
+        match stage v start with
+        | Some r -> walk ~stage (Some r) (steps + 1) rest
+        | None -> (None, steps)  (* chain broken: give up on this path *)
+      end
+  in
+  match walk ~stage:(fun g -> attempt ~gmin:g ~scale:1.) None 0 gmins with
+  | Some r, steps -> (r, steps, 0)
+  | None, _ -> begin
+      let scales = [ 0.; 0.1; 0.2; 0.35; 0.5; 0.65; 0.8; 0.9; 1. ] in
+      match
+        walk ~stage:(fun s -> attempt ~gmin:options.gmin ~scale:s) None 0 scales
+      with
+      | Some r, steps -> (r, List.length gmins, steps)
+      | None, _ ->
+          raise
+            (No_convergence
+               (Printf.sprintf
+                  "DC analysis of %S failed (newton, gmin stepping and \
+                   source stepping all diverged)"
+                  (Netlist.title (Mna.netlist sys))))
+    end
+
+let solve_u ?(options = default_options) ?guess ?companions
+    ?(source_scale = 1.) ?workspace ?restamp ?continuation sys ~time =
+  injected_failure sys;
   (match continuation with
   | Some ct when ct.ct_size <> Mna.size sys ->
       invalid_arg "Dc.solve: continuation size mismatch"
@@ -259,7 +305,10 @@ let solve_u ?(options = default_options) ?guess ?companions
   (match workspace with
   | Some ws when ws.Mna.w_size <> Mna.size sys ->
       invalid_arg "Dc.solve: workspace size mismatch"
-  | Some _ | None -> ());
+  | Some ws ->
+      Mna.bind_restamp sys ws restamp;
+      Mna.bind_time sys ws time
+  | None -> ());
   (* The rank-1 first-step context applies only to the direct attempt
      (nominal gmin, full source scale) and only when the held
      factorization differs from the requested system purely in the
@@ -289,17 +338,17 @@ let solve_u ?(options = default_options) ?guess ?companions
       end
     | _ -> None
   in
-  let attempt ?rank1 ~gmin ~scale ~start () =
-    let source_scale = scale *. source_scale in
+  let attempt ?rank1 ~gmin ~scale start =
     match workspace with
     | Some ws ->
-        newton_ws ~options ~companions ~source_scale ~restamp ~gmin ?rank1 sys
-          ws ~time ~start
+        attempt_ws ~options ?companions ~source_scale ?rank1 sys ws ~gmin
+          ~scale start
     | None -> (
         (* the allocating reference path factors once per iteration *)
         match
-          newton_alloc ~options ~companions ~source_scale ~restamp ~gmin sys
-            ~time ~start
+          newton_alloc ~options ~companions
+            ~source_scale:(scale *. source_scale) ~restamp ~gmin sys ~time
+            ~start
         with
         | Some (x, it) -> Some (x, it, it, 0)
         | None -> None)
@@ -311,7 +360,7 @@ let solve_u ?(options = default_options) ?guess ?companions
      leaves the previously held factorization in place, which stays
      consistent because the next delta is always computed against the
      held impact. *)
-  let finish ~x ~it ~factors ~reuses ~gmin_steps ~source_steps =
+  let finish (x, it, factors, reuses) ~gmin_steps ~source_steps =
     (match continuation with
     | Some ct ->
         Array.blit x 0 ct.ct_x 0 ct.ct_size;
@@ -343,7 +392,7 @@ let solve_u ?(options = default_options) ?guess ?companions
     }
   in
   let direct =
-    match attempt ?rank1:rank1_ctx ~gmin:options.gmin ~scale:1. ~start () with
+    match attempt ?rank1:rank1_ctx ~gmin:options.gmin ~scale:1. start with
     | Some _ as converged -> converged
     | None when warm ->
         (* A poisoned warm start must never cost convergence: near a
@@ -352,81 +401,89 @@ let solve_u ?(options = default_options) ?guess ?companions
            iterate can sit in a basin Newton cannot leave.  Replay the
            cold path exactly — same start, no rank-1 — before escalating
            to the stepping ladders. *)
-        attempt ~gmin:options.gmin ~scale:1. ~start:cold_start ()
+        attempt ~gmin:options.gmin ~scale:1. cold_start
     | None -> None
   in
   match direct with
-  | Some (x, it, factors, reuses) ->
-      finish ~x ~it ~factors ~reuses ~gmin_steps:0 ~source_steps:0
-  | None -> begin
-      (* gmin stepping: relax then tighten — seeded from the cold start,
-         like the cold path, never from a failed warm iterate *)
-      let start = cold_start in
-      let gmins = [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-8; 1e-10; options.gmin ] in
-      let rec gmin_walk x_opt steps = function
-        | [] -> (x_opt, steps)
-        | g :: rest -> begin
-            let start =
-              match x_opt with Some (x, _, _, _) -> x | None -> start
-            in
-            match attempt ~gmin:g ~scale:1. ~start () with
-            | Some r -> gmin_walk (Some r) (steps + 1) rest
-            | None -> (None, steps)  (* chain broken: give up on this path *)
-          end
+  | Some r -> finish r ~gmin_steps:0 ~source_steps:0
+  | None ->
+      (* seeded from the cold start, like the cold path, never from a
+         failed warm iterate *)
+      let r, gmin_steps, source_steps =
+        ladder ~options
+          ~attempt:(fun ~gmin ~scale start -> attempt ~gmin ~scale start)
+          ~start:cold_start sys
       in
-      match gmin_walk None 0 gmins with
-      | Some (x, it, factors, reuses), steps ->
-          finish ~x ~it ~factors ~reuses ~gmin_steps:steps ~source_steps:0
-      | None, _ -> begin
-          (* source stepping at final gmin *)
-          let scales = [ 0.; 0.1; 0.2; 0.35; 0.5; 0.65; 0.8; 0.9; 1. ] in
-          let rec src_walk x_opt steps = function
-            | [] -> (x_opt, steps)
-            | s :: rest -> begin
-                let start =
-                  match x_opt with Some (x, _, _, _) -> x | None -> start
-                in
-                match attempt ~gmin:options.gmin ~scale:s ~start () with
-                | Some r -> src_walk (Some r) (steps + 1) rest
-                | None -> (None, steps)
-              end
-          in
-          match src_walk None 0 scales with
-          | Some (x, it, factors, reuses), steps ->
-              finish ~x ~it ~factors ~reuses ~gmin_steps:(List.length gmins)
-                ~source_steps:steps
-          | None, _ ->
-              raise
-                (No_convergence
-                   (Printf.sprintf
-                      "DC analysis of %S failed (newton, gmin stepping and \
-                       source stepping all diverged)"
-                      (Netlist.title (Mna.netlist sys))))
-        end
-    end
+      finish r ~gmin_steps ~source_steps
+
+(* Bumped once per solve from the finished report's figures — never
+   inside the Newton loop. *)
+let tally ~it ~factors ~reuses ~gmin_steps ~source_steps =
+  Obs.Counter.add c_solves 1;
+  Obs.Counter.add c_newton it;
+  Obs.Counter.add c_lu factors;
+  Obs.Counter.add c_reuse reuses;
+  Obs.Counter.add c_gmin gmin_steps;
+  Obs.Counter.add c_src source_steps;
+  Obs.Histogram.observe h_newton it
+
+let count_failure e =
+  if Obs.active () then Obs.Counter.add c_fail 1;
+  raise e
 
 let solve ?options ?guess ?companions ?source_scale ?workspace ?restamp
     ?continuation sys ~time =
-  if not (Obs.active ()) then
+  match
     solve_u ?options ?guess ?companions ?source_scale ?workspace ?restamp
       ?continuation sys ~time
-  else
-    match
-      solve_u ?options ?guess ?companions ?source_scale ?workspace ?restamp
-        ?continuation sys ~time
-    with
-    | report ->
-        Obs.Counter.add c_solves 1;
-        Obs.Counter.add c_newton report.newton_iterations;
-        Obs.Counter.add c_lu report.factorizations;
-        Obs.Counter.add c_reuse report.pattern_reuses;
-        Obs.Counter.add c_gmin report.gmin_steps;
-        Obs.Counter.add c_src report.source_steps;
-        Obs.Histogram.observe h_newton report.newton_iterations;
-        report
-    | exception (No_convergence _ as e) ->
-        Obs.Counter.add c_fail 1;
-        raise e
+  with
+  | r ->
+      if Obs.active () then
+        tally ~it:r.newton_iterations ~factors:r.factorizations
+          ~reuses:r.pattern_reuses ~gmin_steps:r.gmin_steps
+          ~source_steps:r.source_steps;
+      r
+  | exception (No_convergence _ as e) -> count_failure e
+
+(* The compiled transient step: [solve] from [guess] without a
+   continuation, on a workspace whose overrides are already bound, with
+   the solution left in the workspace.  The converged direct attempt —
+   every step but a rare stiff one — allocates nothing: no report, no
+   copy, no per-call closure.  The failpoints, the ladders and the
+   counters are [solve]'s, in the same order. *)
+let step_u ~options ?companions sys ws ~guess ~time =
+  injected_failure sys;
+  Mna.bind_time sys ws time;
+  let f0 = ws.Mna.w_factors and r0 = ws.Mna.w_reuses in
+  let it =
+    newton_ws ~options ?companions ~source_scale:1. ~gmin:options.gmin sys ws
+      ~start:guess
+  in
+  if it > 0 then begin
+    if Obs.active () then
+      tally ~it ~factors:(ws.Mna.w_factors - f0) ~reuses:(ws.Mna.w_reuses - r0)
+        ~gmin_steps:0 ~source_steps:0;
+    it
+  end
+  else begin
+    let (x, it, factors, reuses), gmin_steps, source_steps =
+      ladder ~options
+        ~attempt:(fun ~gmin ~scale start ->
+          attempt_ws ~options ?companions ~source_scale:1. sys ws ~gmin ~scale
+            start)
+        ~start:guess sys
+    in
+    Array.blit x 0 ws.Mna.w_x 0 (Vec.dim x);
+    if Obs.active () then tally ~it ~factors ~reuses ~gmin_steps ~source_steps;
+    it
+  end
+
+let step ~options ?companions sys ws ~guess ~time =
+  if Vec.dim guess <> Mna.size sys || ws.Mna.w_size <> Mna.size sys then
+    invalid_arg "Dc.step: size mismatch";
+  match step_u ~options ?companions sys ws ~guess ~time with
+  | it -> it
+  | exception (No_convergence _ as e) -> count_failure e
 
 let operating_point ?options ?guess sys ~time =
   (solve ?options ?guess sys ~time).solution

@@ -55,7 +55,7 @@ val continuation : Mna.t -> continuation
 val solve :
   ?options:options ->
   ?guess:Numerics.Vec.t ->
-  ?companions:(string, Mna.companion) Hashtbl.t ->
+  ?companions:Mna.companions ->
   ?source_scale:float ->
   ?workspace:Mna.workspace ->
   ?restamp:Mna.restamp ->
@@ -93,6 +93,24 @@ val solve :
     @raise Invalid_argument if the workspace or continuation size does
     not match the system. *)
 
+val step :
+  options:options ->
+  ?companions:Mna.companions ->
+  Mna.t ->
+  Mna.workspace ->
+  guess:Numerics.Vec.t ->
+  time:Mna.source_time ->
+  int
+(** The compiled transient step: {!solve} from [guess] on a workspace
+    whose overrides were bound by {!Mna.bind_restamp}, without a
+    continuation.  Returns the Newton iterations of the converged
+    attempt and leaves the solution in the workspace's [w_x] (valid
+    until the workspace's next solve).  Same failpoints, stepping
+    ladders, counters and arithmetic as {!solve} — bit-identical — but a
+    step that converges directly allocates nothing.
+    @raise No_convergence as {!solve}.
+    @raise Invalid_argument on a size mismatch. *)
+
 val operating_point :
   ?options:options -> ?guess:Numerics.Vec.t -> Mna.t ->
   time:Mna.source_time -> Numerics.Vec.t
@@ -100,7 +118,7 @@ val operating_point :
 
 val solve_adjoint :
   ?options:options ->
-  ?companions:(string, Mna.companion) Hashtbl.t ->
+  ?companions:Mna.companions ->
   ?restamp:Mna.restamp ->
   ?workspace:Mna.workspace ->
   ?time:Mna.source_time ->

@@ -1,26 +1,58 @@
 open Numerics
 
-(* A device with its matrix indices resolved at build time (-1 encodes
-   ground).  Assembly over this "stamp plan" performs the same float
+(* Value-array slots of a two-terminal conductance stamp — (i,i) (j,j)
+   (i,j) (j,i) — and of a branch's incidence stamps — (i,br) (j,br)
+   (br,i) (br,j).  A slot is the entry's index in the backend's value
+   array ([i*n+j] dense, the CSR position sparse), [-1] where a terminal
+   is ground. *)
+type gslots = { ii : int; jj : int; ij : int; ji : int }
+type bslots = { ib : int; jb : int; bi : int; bj : int }
+
+(* A device with its unknown indices and matrix slots resolved at build
+   time.  Assembly over this "stamp plan" performs the same float
    operations in the same order as stamping straight off the device
-   list, but without any per-iteration name hashing — the compile phase
-   of the compile-once/restamp-many hot path. *)
+   list, but adds each value straight into its slot — no name hashing,
+   no row search, no closure — the compile phase of the
+   compile-once/restamp-many hot path.  A resistor carries its
+   conductance [g0 = 1/ohms]; [k] of a capacitor or inductor is its
+   companion slot, [src] of a source its source slot. *)
 type rstamp =
-  | R_resistor of { name : string; i : int; j : int; ohms : float }
-  | R_capacitor of { name : string; i : int; j : int }
-  | R_inductor of { name : string; i : int; j : int; br : int }
-  | R_vsource of { name : string; i : int; j : int; br : int; wave : Waveform.t }
-  | R_isource of { name : string; i : int; j : int; wave : Waveform.t }
-  | R_vcvs of { i : int; j : int; cp : int; cn : int; br : int; gain : float }
-  | R_vccs of { i : int; j : int; cp : int; cn : int; gm : float }
+  | R_resistor of { name : string; i : int; j : int; g0 : float; g : gslots }
+  | R_capacitor of { i : int; j : int; k : int; g : gslots }
+  | R_inductor of { br : int; k : int; b : bslots; bb : int }
+  | R_vsource of {
+      name : string;
+      br : int;
+      wave : Waveform.t;
+      src : int;
+      b : bslots;
+    }
+  | R_isource of {
+      name : string;
+      i : int;
+      j : int;
+      wave : Waveform.t;
+      src : int;
+    }
+  | R_vcvs of { gain : float; b : bslots; bp : int; bn : int }
+  | R_vccs of { gm : float; ip : int; in_ : int; jp : int; jn : int }
   | R_mosfet of {
       di : int;
       gi : int;
       si : int;
       model : Mos_model.t;
-      w : float;
-      l : float;
+      beta : float;
+      dg : int;
+      dd : int;
+      ds : int;
+      sg : int;
+      sd : int;
+      ss : int;
     }
+
+type reactive =
+  | Cap of { a : int; b : int; farads : float }
+  | Ind of { a : int; b : int; br : int; henries : float }
 
 (* Linear-algebra backend of a compiled topology.  Both factorize with
    the same pivot rule and per-entry update sequence ({!Smat} skips only
@@ -37,65 +69,38 @@ type t = {
   size : int;
   device_array : Device.t array;
   stamp_plan : rstamp array;
+  gmin_slots : int array;  (* diagonal slot of every node *)
+  sources : int array;  (* plan index by source slot *)
+  reactives : reactive array;  (* by companion slot *)
   backend : backend;
-  sparse_pattern : (int * int) list;  (* [] on the dense backend *)
+  shape : Smat.t option;  (* the sparse pattern; None on the dense backend *)
+  n_values : int;  (* length of the backend's value array *)
 }
 
-(* Every (row, col) slot the plan's stamps can touch, resolved once at
-   compile time — the symbolic half of the sparse backend.  Mirrors
-   [assemble_core] stamp for stamp (ground terminals dropped), plus the
-   full diagonal: gmin lands there for nodes, and branch rows need their
-   structurally-zero diagonal present so sparse elimination visits the
-   same slots dense partial pivoting can reach. *)
-let plan_pattern ~size ~stamp_plan =
-  let acc = ref [] in
-  let p i j = if i >= 0 && j >= 0 then acc := (i, j) :: !acc in
-  let conductance i j =
-    p i i;
-    p j j;
-    p i j;
-    p j i
-  in
-  for i = 0 to size - 1 do
-    p i i
-  done;
-  Array.iter
-    (fun r ->
-      match r with
-      | R_resistor { i; j; _ } | R_capacitor { i; j; _ } -> conductance i j
-      | R_inductor { i; j; br; _ } ->
-          p i br;
-          p j br;
-          p br i;
-          p br j;
-          p br br
-      | R_vsource { i; j; br; _ } ->
-          p i br;
-          p j br;
-          p br i;
-          p br j
-      | R_isource _ -> ()  (* right-hand side only *)
-      | R_vcvs { i; j; cp; cn; br; _ } ->
-          p i br;
-          p j br;
-          p br i;
-          p br j;
-          p br cp;
-          p br cn
-      | R_vccs { i; j; cp; cn; _ } ->
-          p i cp;
-          p i cn;
-          p j cp;
-          p j cn
-      | R_mosfet { di; gi; si; _ } ->
-          p di gi;
-          p di di;
-          p di si;
-          p si gi;
-          p si di;
-          p si si)
-    stamp_plan;
-  !acc
+(* Rewrite every matrix slot of a stamp. *)
+let map_slots f r =
+  let g s = { ii = f s.ii; jj = f s.jj; ij = f s.ij; ji = f s.ji } in
+  let b s = { ib = f s.ib; jb = f s.jb; bi = f s.bi; bj = f s.bj } in
+  match r with
+  | R_resistor x -> R_resistor { x with g = g x.g }
+  | R_capacitor x -> R_capacitor { x with g = g x.g }
+  | R_inductor x -> R_inductor { x with b = b x.b; bb = f x.bb }
+  | R_vsource x -> R_vsource { x with b = b x.b }
+  | R_isource _ -> r
+  | R_vcvs x -> R_vcvs { x with b = b x.b; bp = f x.bp; bn = f x.bn }
+  | R_vccs x ->
+      R_vccs { x with ip = f x.ip; in_ = f x.in_; jp = f x.jp; jn = f x.jn }
+  | R_mosfet x ->
+      R_mosfet
+        {
+          x with
+          dg = f x.dg;
+          dd = f x.dd;
+          ds = f x.ds;
+          sg = f x.sg;
+          sd = f x.sd;
+          ss = f x.ss;
+        }
 
 (* Above this node count a dense factorization is paying O(n^3) per
    Newton step for a matrix that is almost all structural zeros. *)
@@ -131,6 +136,7 @@ let build ?(backend = Dense) nl =
         incr next
       end)
     (Netlist.devices nl);
+  let size = !next in
   let node n =
     if Device.is_ground n then -1
     else
@@ -138,48 +144,136 @@ let build ?(backend = Dense) nl =
       | Some i -> i
       | None -> raise Not_found
   in
-  let resolve d =
+  let device_array = Array.of_list (Netlist.devices nl) in
+  (* companion slots: the capacitors and inductors in device order *)
+  let reactive_of = function
+    | Device.Capacitor { a; b; farads; _ } ->
+        Some (Cap { a = node a; b = node b; farads })
+    | Device.Inductor { name; a; b; henries } ->
+        let br = Hashtbl.find branch_tbl name in
+        Some (Ind { a = node a; b = node b; br; henries })
+    | Device.Resistor _ | Device.Vsource _ | Device.Isource _ | Device.Vcvs _
+    | Device.Vccs _ | Device.Mosfet _ -> None
+  in
+  let reactives =
+    Array.of_list (List.filter_map reactive_of (Netlist.devices nl))
+  in
+  let resolve ~slot ~k ~src d =
+    let gslots i j =
+      { ii = slot i i; jj = slot j j; ij = slot i j; ji = slot j i }
+    in
+    let bslots i j br =
+      { ib = slot i br; jb = slot j br; bi = slot br i; bj = slot br j }
+    in
     match d with
     | Device.Resistor { name; a; b; ohms } ->
-        R_resistor { name; i = node a; j = node b; ohms }
-    | Device.Capacitor { name; a; b; _ } ->
-        R_capacitor { name; i = node a; j = node b }
+        let i = node a and j = node b in
+        R_resistor { name; i; j; g0 = 1. /. ohms; g = gslots i j }
+    | Device.Capacitor { a; b; _ } ->
+        let i = node a and j = node b in
+        R_capacitor { i; j; k; g = gslots i j }
     | Device.Inductor { name; a; b; _ } ->
-        R_inductor { name; i = node a; j = node b; br = Hashtbl.find branch_tbl name }
+        let br = Hashtbl.find branch_tbl name in
+        R_inductor { br; k; b = bslots (node a) (node b) br; bb = slot br br }
     | Device.Vsource { name; plus; minus; wave } ->
-        R_vsource
-          { name; i = node plus; j = node minus;
-            br = Hashtbl.find branch_tbl name; wave }
+        let br = Hashtbl.find branch_tbl name in
+        let b = bslots (node plus) (node minus) br in
+        R_vsource { name; br; wave; src; b }
     | Device.Isource { name; from_node; to_node; wave } ->
-        R_isource { name; i = node from_node; j = node to_node; wave }
+        R_isource { name; i = node from_node; j = node to_node; wave; src }
     | Device.Vcvs { name; plus; minus; ctrl_plus; ctrl_minus; gain } ->
+        let br = Hashtbl.find branch_tbl name in
         R_vcvs
-          { i = node plus; j = node minus; cp = node ctrl_plus;
-            cn = node ctrl_minus; br = Hashtbl.find branch_tbl name; gain }
+          {
+            gain;
+            b = bslots (node plus) (node minus) br;
+            bp = slot br (node ctrl_plus);
+            bn = slot br (node ctrl_minus);
+          }
     | Device.Vccs { plus; minus; ctrl_plus; ctrl_minus; gm; _ } ->
+        let i = node plus and j = node minus in
+        let cp = node ctrl_plus and cn = node ctrl_minus in
         R_vccs
-          { i = node plus; j = node minus; cp = node ctrl_plus;
-            cn = node ctrl_minus; gm }
+          {
+            gm;
+            ip = slot i cp;
+            in_ = slot i cn;
+            jp = slot j cp;
+            jn = slot j cn;
+          }
     | Device.Mosfet { drain; gate; source; model; w; l; _ } ->
-        R_mosfet { di = node drain; gi = node gate; si = node source; model; w; l }
+        let di = node drain and gi = node gate and si = node source in
+        R_mosfet
+          {
+            di;
+            gi;
+            si;
+            model;
+            beta = Mos_model.beta model ~w ~l;
+            dg = slot di gi;
+            dd = slot di di;
+            ds = slot di si;
+            sg = slot si gi;
+            sd = slot si di;
+            ss = slot si si;
+          }
   in
-  let device_array = Array.of_list (Netlist.devices nl) in
-  let stamp_plan = Array.map resolve device_array in
-  let sparse_pattern =
+  (* companion and source slots are numbered in device order; matrix
+     slots start out dense ([i*n+j]) *)
+  let dense_slot i j = if i >= 0 && j >= 0 then (i * size) + j else -1 in
+  let n_reactive = ref 0 and n_sources = ref 0 and sources = ref [] in
+  let stamp_plan =
+    Array.mapi
+      (fun p d ->
+        let r = resolve ~slot:dense_slot ~k:!n_reactive ~src:!n_sources d in
+        (match r with
+        | R_capacitor _ | R_inductor _ -> incr n_reactive
+        | R_vsource _ | R_isource _ ->
+            incr n_sources;
+            sources := p :: !sources
+        | R_resistor _ | R_vcvs _ | R_vccs _ | R_mosfet _ -> ());
+        r)
+      device_array
+  in
+  let gmin_slots = Array.init n_nodes (fun i -> dense_slot i i) in
+  let shape, stamp_plan, gmin_slots =
     match backend with
-    | Dense -> []
-    | Sparse -> plan_pattern ~size:!next ~stamp_plan
+    | Dense -> (None, stamp_plan, gmin_slots)
+    | Sparse ->
+        (* The sparse pattern is every slot the stamps ask for, plus the
+           full diagonal: gmin lands there for nodes, and branch rows
+           need their structurally-zero diagonal present so sparse
+           elimination visits the same slots dense partial pivoting can
+           reach.  Each dense slot then moves to its CSR position. *)
+        let acc = ref (List.init size (fun i -> (i, i))) in
+        let note s =
+          if s >= 0 then acc := (s / size, s mod size) :: !acc;
+          s
+        in
+        Array.iter (fun r -> ignore (map_slots note r)) stamp_plan;
+        let shape = Smat.create size !acc in
+        let position s =
+          if s < 0 then -1 else Smat.position shape (s / size) (s mod size)
+        in
+        Array.map_inplace (map_slots position) stamp_plan;
+        Array.map_inplace position gmin_slots;
+        (Some shape, stamp_plan, gmin_slots)
   in
   {
     netlist = nl;
     node_tbl;
     branch_tbl;
     n_nodes;
-    size = !next;
+    size;
     device_array;
     stamp_plan;
+    gmin_slots;
+    sources = Array.of_list (List.rev !sources);
+    reactives;
     backend;
-    sparse_pattern;
+    shape;
+    n_values =
+      (match shape with Some shape -> Smat.nnz shape | None -> size * size);
   }
 
 let netlist t = t.netlist
@@ -202,9 +296,17 @@ let branch_current t x name =
   | Some i -> x.(i)
   | None -> raise Not_found
 
-type companion =
-  | Cap_companion of { geq : float; ieq : float }
-  | Ind_companion of { req : float; veq : float }
+let reactives t = t.reactives
+
+(* Companion values by companion slot, refilled by the integrator every
+   step: a capacitor stamps conductance [coef] in parallel with the
+   current source [src]; an inductor's branch equation becomes
+   [va - vb - coef*i = src]. *)
+type companions = { coef : float array; src : float array }
+
+let companions t =
+  let n = Array.length t.reactives in
+  { coef = Array.make n 0.; src = Array.make n 0. }
 
 type source_time = [ `Dc | `Time of float ]
 
@@ -217,8 +319,6 @@ type restamp = {
   stimulus : (string * Waveform.t) option;
   impact : (string * float) option;
 }
-
-let no_restamp = { stimulus = None; impact = None }
 
 let restamp_wave restamp name wave =
   match restamp with
@@ -235,6 +335,57 @@ let wave_value time w =
   | `Dc -> Waveform.dc_value w
   | `Time t -> Waveform.value w t
 
+(* The value phase of assembly: the bound fault impact (the plan index
+   of the resistor it overrides, -1 for none, and its conductance), each
+   source's wave under the bound stimulus and its level at the bound
+   time (by source slot), plus the MOSFET evaluation buffer.  Binding
+   resolves a restamp's names once per probe and a time once per solve;
+   the Newton iterations in between only read these fields. *)
+type binding = {
+  mutable impact_at : int;
+  impact_g : float array;  (* one cell: a float field here would box *)
+  waves : Waveform.t array;
+  levels : float array;
+  mos : Mos_model.scratch;
+}
+
+let binding t =
+  let n = Array.length t.sources in
+  {
+    impact_at = -1;
+    impact_g = [| 0. |];
+    waves = Array.make n (Waveform.Dc 0.);
+    levels = Array.make n 0.;
+    mos = Mos_model.scratch ();
+  }
+
+let bind_restamp_into t bd restamp =
+  bd.impact_at <- -1;
+  (match restamp with
+  | Some { impact = Some (device, ohms); _ } ->
+      Array.iteri
+        (fun k r ->
+          match r with
+          | R_resistor { name; _ }
+            when bd.impact_at < 0 && String.equal name device ->
+              bd.impact_at <- k;
+              bd.impact_g.(0) <- 1. /. ohms
+          | _ -> ())
+        t.stamp_plan
+  | Some { impact = None; _ } | None -> ());
+  Array.iteri
+    (fun src k ->
+      match t.stamp_plan.(k) with
+      | R_vsource { name; wave; _ } | R_isource { name; wave; _ } ->
+          bd.waves.(src) <- restamp_wave restamp name wave
+      | _ -> ())
+    t.sources
+
+let bind_time_into bd time =
+  for src = 0 to Array.length bd.waves - 1 do
+    bd.levels.(src) <- wave_value time bd.waves.(src)
+  done
+
 (* index helpers: -1 encodes ground *)
 let idx t n =
   if Device.is_ground n then -1
@@ -243,103 +394,100 @@ let idx t n =
     | Some i -> i
     | None -> raise Not_found
 
-let inject z i v = if i >= 0 then z.(i) <- z.(i) +. v
-let volt x i = if i < 0 then 0. else x.(i)
+let[@inline] inject z i v = if i >= 0 then z.(i) <- z.(i) +. v
+let[@inline] volt x i = if i < 0 then 0. else x.(i)
+
+(* Accumulate into a resolved slot.  Slots come from the plan and index
+   a value array of the plan's own [n_values] length (checked by every
+   caller), so the access is unchecked. *)
+let[@inline] add vals s v =
+  if s >= 0 then Array.unsafe_set vals s (Array.unsafe_get vals s +. v)
+
+let[@inline] conductance vals g v =
+  add vals g.ii v;
+  add vals g.jj v;
+  add vals g.ij (-.v);
+  add vals g.ji (-.v)
+
+let[@inline] incidence vals b =
+  add vals b.ib 1.;
+  add vals b.jb (-1.);
+  add vals b.bi 1.;
+  add vals b.bj (-1.)
 
 (* Stamping walks the resolved plan in device order — the same float
    operations, in the same order, as stamping straight off the device
-   records, so the assembled system is bit-identical whichever value
-   overrides are active.  [add] is the backend's accumulate-into-slot
-   primitive ({!Mat.add_to} or {!Smat.add_to}); generalising over it is
-   what keeps both backends on one stamp sequence. *)
-let assemble_core t ~add ~z ~x ~time ~companions ~source_scale ~restamp ~gmin =
-  let stamp i j v = if i >= 0 && j >= 0 then add i j v in
-  let stamp_conductance i j g =
-    stamp i i g;
-    stamp j j g;
-    stamp i j (-.g);
-    stamp j i (-.g)
-  in
-  for i = 0 to t.n_nodes - 1 do
-    add i i gmin
+   records, so the assembled system is bit-identical whichever backend
+   and whichever value overrides are active.  [vals] is the backend's
+   value array; one monomorphic loop serves both backends and allocates
+   nothing. *)
+let assemble_core t bd ~vals ~z ~x ~companions ~source_scale ~gmin =
+  let diag = t.gmin_slots in
+  for i = 0 to Array.length diag - 1 do
+    add vals (Array.unsafe_get diag i) gmin
   done;
-  let companion_of name =
-    match companions with
-    | None -> None
-    | Some tbl -> Hashtbl.find_opt tbl name
-  in
-  Array.iter
-    (fun r ->
-      match r with
-      | R_resistor { name; i; j; ohms } ->
-          let ohms = restamp_ohms restamp name ohms in
-          stamp_conductance i j (1. /. ohms)
-      | R_capacitor { name; i; j } -> begin
-          match companion_of name with
-          | Some (Cap_companion { geq; ieq }) ->
-              stamp_conductance i j geq;
-              inject z i ieq;
-              inject z j (-.ieq)
-          | Some (Ind_companion _) ->
-              invalid_arg "Mna.assemble: inductor companion on a capacitor"
-          | None -> ()  (* open in DC *)
-        end
-      | R_inductor { name; i; j; br } -> begin
-          (* branch current contribution to KCL *)
-          stamp i br 1.;
-          stamp j br (-1.);
-          (* branch equation: va - vb - req*i = veq (req = 0 in DC) *)
-          stamp br i 1.;
-          stamp br j (-1.);
-          match companion_of name with
-          | Some (Ind_companion { req; veq }) ->
-              add br br (-.req);
-              z.(br) <- z.(br) +. veq
-          | Some (Cap_companion _) ->
-              invalid_arg "Mna.assemble: capacitor companion on an inductor"
-          | None -> ()
-        end
-      | R_vsource { name; i; j; br; wave } ->
-          let wave = restamp_wave restamp name wave in
-          stamp i br 1.;
-          stamp j br (-1.);
-          stamp br i 1.;
-          stamp br j (-1.);
-          z.(br) <- z.(br) +. (source_scale *. wave_value time wave)
-      | R_isource { name; i; j; wave } ->
-          let wave = restamp_wave restamp name wave in
-          let value = source_scale *. wave_value time wave in
-          inject z i (-.value);
-          inject z j value
-      | R_vcvs { i; j; cp; cn; br; gain } ->
-          stamp i br 1.;
-          stamp j br (-1.);
-          stamp br i 1.;
-          stamp br j (-1.);
-          stamp br cp (-.gain);
-          stamp br cn gain
-      | R_vccs { i; j; cp; cn; gm } ->
-          stamp i cp gm;
-          stamp i cn (-.gm);
-          stamp j cp (-.gm);
-          stamp j cn gm
-      | R_mosfet { di; gi; si; model; w; l } ->
-          let vd = volt x di and vg = volt x gi and vs = volt x si in
-          let op = Mos_model.eval model ~w ~l ~vg ~vd ~vs in
-          (* Newton companion: ids ~ i0 + dG*vg + dD*vd + dS*vs *)
-          let i0 =
-            op.ids -. (op.d_gate *. vg) -. (op.d_drain *. vd)
-            -. (op.d_source *. vs)
-          in
-          stamp di gi op.d_gate;
-          stamp di di op.d_drain;
-          stamp di si op.d_source;
-          stamp si gi (-.op.d_gate);
-          stamp si di (-.op.d_drain);
-          stamp si si (-.op.d_source);
-          inject z di (-.i0);
-          inject z si i0)
-    t.stamp_plan
+  let plan = t.stamp_plan in
+  for k = 0 to Array.length plan - 1 do
+    match Array.unsafe_get plan k with
+    | R_resistor { g0; g; _ } ->
+        conductance vals g (if k = bd.impact_at then bd.impact_g.(0) else g0)
+    | R_capacitor { i; j; k = c; g } -> begin
+        match companions with
+        | Some cp ->
+            let ieq = cp.src.(c) in
+            conductance vals g cp.coef.(c);
+            inject z i ieq;
+            inject z j (-.ieq)
+        | None -> ()  (* open in DC *)
+      end
+    | R_inductor { br; k = c; b; bb } -> begin
+        (* branch current contribution to KCL, then the branch
+           equation: va - vb - req*i = veq (req = 0 in DC) *)
+        incidence vals b;
+        match companions with
+        | Some cp ->
+            add vals bb (-.cp.coef.(c));
+            z.(br) <- z.(br) +. cp.src.(c)
+        | None -> ()
+      end
+    | R_vsource { br; src; b; _ } ->
+        incidence vals b;
+        z.(br) <- z.(br) +. (source_scale *. bd.levels.(src))
+    | R_isource { i; j; src; _ } ->
+        let value = source_scale *. bd.levels.(src) in
+        inject z i (-.value);
+        inject z j value
+    | R_vcvs { gain; b; bp; bn } ->
+        incidence vals b;
+        add vals bp (-.gain);
+        add vals bn gain
+    | R_vccs { gm; ip; in_; jp; jn } ->
+        add vals ip gm;
+        add vals in_ (-.gm);
+        add vals jp (-.gm);
+        add vals jn gm
+    | R_mosfet { di; gi; si; model; beta; dg; dd; ds; sg; sd; ss } ->
+        let vd = volt x di and vg = volt x gi and vs = volt x si in
+        let op = bd.mos in
+        op.vg <- vg;
+        op.vd <- vd;
+        op.vs <- vs;
+        ignore (Mos_model.eval_into model ~beta op);
+        let d_gate = op.dg_out and d_drain = op.dd_out in
+        let d_source = op.ds_out in
+        (* Newton companion: ids ~ i0 + dG*vg + dD*vd + dS*vs *)
+        let i0 =
+          op.ids_out -. (d_gate *. vg) -. (d_drain *. vd) -. (d_source *. vs)
+        in
+        add vals dg d_gate;
+        add vals dd d_drain;
+        add vals ds d_source;
+        add vals sg (-.d_gate);
+        add vals sd (-.d_drain);
+        add vals ss (-.d_source);
+        inject z di (-.i0);
+        inject z si i0
+  done
 
 (* The fault-impact restamp knob targets exactly one resistor, so the
    difference between two impact resistances r0 -> r1 is the symmetric
@@ -428,52 +576,64 @@ type engine =
   | E_sparse of { es : Smat.t; eslu : Smat.lu }
 
 (* Preallocated per-analysis solve state: system matrix, right-hand
-   side, LU workspace, and the two Newton iterate buffers.  One
-   workspace is owned by exactly one running analysis at a time — under
-   parallel execution each domain compiles (or forks) its own. *)
+   side, LU workspace, the two Newton iterate buffers and the value
+   phase of assembly.  One workspace is owned by exactly one running
+   analysis at a time — under parallel execution each domain compiles
+   (or forks) its own. *)
 type workspace = {
   w_size : int;
   w_eng : engine;
+  w_vals : float array;
+  w_bind : binding;
   w_z : Vec.t;
   mutable w_x : Vec.t;
   mutable w_x_new : Vec.t;
+  mutable w_factors : int;
+  mutable w_reuses : int;
 }
 
 let workspace t =
-  let w_eng =
+  let w_eng, w_vals =
     match t.backend with
     | Dense ->
-        E_dense { ea = Mat.create t.size t.size; elu = Mat.lu_workspace t.size }
+        let ea = Mat.create t.size t.size in
+        (E_dense { ea; elu = Mat.lu_workspace t.size }, Mat.values ea)
     | Sparse ->
-        E_sparse
-          {
-            es = Smat.create t.size t.sparse_pattern;
-            eslu = Smat.lu_workspace t.size;
-          }
+        let es = Smat.like (Option.get t.shape) in
+        (E_sparse { es; eslu = Smat.lu_workspace t.size }, Smat.values es)
   in
   {
     w_size = t.size;
     w_eng;
+    w_vals;
+    w_bind = binding t;
     w_z = Vec.create t.size 0.;
     w_x = Vec.create t.size 0.;
     w_x_new = Vec.create t.size 0.;
+    w_factors = 0;
+    w_reuses = 0;
   }
 
 let ws_factor ws =
   match ws.w_eng with
   | E_dense { ea; elu } ->
       Mat.factor_in_place ea elu;
+      ws.w_factors <- ws.w_factors + 1;
       false
   | E_sparse { es; eslu } ->
       (* numeric replay on the held pattern when the pivot guard admits
          it; the fallback is the full symbolic pass.  Both produce the
          same factorization bit for bit, so which one ran is observable
          only through the stats. *)
-      if Smat.refactor es eslu then true
-      else begin
-        Smat.factor_in_place es eslu;
-        false
-      end
+      let replayed =
+        Smat.refactor es eslu
+        ||
+        (Smat.factor_in_place es eslu;
+         false)
+      in
+      ws.w_factors <- ws.w_factors + 1;
+      if replayed then ws.w_reuses <- ws.w_reuses + 1;
+      replayed
 
 let ws_solve_into ws b x =
   match ws.w_eng with
@@ -570,28 +730,55 @@ let held_rank1_solve hd ~u ~v ~dg ~b ~x =
 
 let assemble t ~x ~time ?companions ?(source_scale = 1.) ?restamp ~gmin () =
   if Vec.dim x <> t.size then invalid_arg "Mna.assemble: bad iterate size";
-  let a = Mat.create t.size t.size in
+  let bd = binding t in
+  bind_restamp_into t bd restamp;
+  bind_time_into bd time;
   let z = Vec.create t.size 0. in
-  assemble_core t ~add:(Mat.add_to a) ~z ~x ~time ~companions ~source_scale
-    ~restamp ~gmin;
+  let a =
+    match t.backend with
+    | Dense ->
+        let a = Mat.create t.size t.size in
+        assemble_core t bd ~vals:(Mat.values a) ~z ~x ~companions ~source_scale
+          ~gmin;
+        a
+    | Sparse ->
+        (* the plan's slots are CSR positions: stamp the sparse matrix,
+           then expand it (entries outside the pattern stay exact zeros,
+           as in a dense assembly) *)
+        let s = Smat.like (Option.get t.shape) in
+        assemble_core t bd ~vals:(Smat.values s) ~z ~x ~companions ~source_scale
+          ~gmin;
+        Smat.to_dense s
+  in
   (a, z)
+
+let check_workspace t ws who =
+  if ws.w_size <> t.size || Array.length ws.w_vals <> t.n_values then
+    invalid_arg (who ^ ": workspace does not match the system")
+
+let bind_restamp t ws restamp =
+  check_workspace t ws "Mna.bind_restamp";
+  bind_restamp_into t ws.w_bind restamp
+
+let bind_time t ws time =
+  check_workspace t ws "Mna.bind_time";
+  bind_time_into ws.w_bind time
+
+let assemble_bound t ws ~x ?companions ~source_scale ~gmin () =
+  if Vec.dim x <> t.size then invalid_arg "Mna.assemble_into: bad iterate size";
+  check_workspace t ws "Mna.assemble_into";
+  Array.fill ws.w_vals 0 t.n_values 0.;
+  Array.fill ws.w_z 0 t.size 0.;
+  assemble_core t ws.w_bind ~vals:ws.w_vals ~z:ws.w_z ~x ~companions
+    ~source_scale ~gmin
 
 let assemble_into t ws ~x ~time ?companions ?(source_scale = 1.) ?restamp ~gmin
     () =
   if Vec.dim x <> t.size then invalid_arg "Mna.assemble_into: bad iterate size";
-  if ws.w_size <> t.size then invalid_arg "Mna.assemble_into: workspace size";
-  let add =
-    match ws.w_eng with
-    | E_dense { ea; _ } ->
-        Mat.fill ea 0.;
-        Mat.add_to ea
-    | E_sparse { es; _ } ->
-        Smat.clear es;
-        Smat.add_to es
-  in
-  Array.fill ws.w_z 0 (Vec.dim ws.w_z) 0.;
-  assemble_core t ~add ~z:ws.w_z ~x ~time ~companions ~source_scale ~restamp
-    ~gmin
+  check_workspace t ws "Mna.assemble_into";
+  bind_restamp_into t ws.w_bind restamp;
+  bind_time_into ws.w_bind time;
+  assemble_bound t ws ~x ?companions ~source_scale ~gmin ()
 
 let mosfet_operating_points t ~x =
   Array.to_list t.device_array

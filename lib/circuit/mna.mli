@@ -50,12 +50,26 @@ val branch_current : t -> Numerics.Vec.t -> string -> float
 (** Branch current of a voltage source / VCVS / inductor by device name.
     @raise Not_found if the device has no branch unknown. *)
 
-type companion =
-  | Cap_companion of { geq : float; ieq : float }
-      (** capacitor replaced by [geq] in parallel with a current source:
-          device current (a to b) equals [geq*(va - vb) - ieq] *)
-  | Ind_companion of { req : float; veq : float }
-      (** inductor branch equation becomes [va - vb - req*i = veq] *)
+type reactive =
+  | Cap of { a : int; b : int; farads : float }
+  | Ind of { a : int; b : int; br : int; henries : float }
+      (** A capacitor or inductor with its terminals resolved to unknown
+          indices ([-1] for ground) and, for an inductor, its branch
+          unknown. *)
+
+val reactives : t -> reactive array
+(** The plan's capacitors and inductors in device order: entry [k] owns
+    companion slot [k]. *)
+
+type companions = { coef : float array; src : float array }
+(** Companion values by companion slot, refilled by the integrator each
+    step.  A capacitor becomes conductance [coef.(k)] in parallel with a
+    current source: device current (a to b) equals
+    [coef.(k)*(va - vb) - src.(k)].  An inductor's branch equation
+    becomes [va - vb - coef.(k)*i = src.(k)]. *)
+
+val companions : t -> companions
+(** Zeroed companion slots for the plan's {!reactives}. *)
 
 type source_time = [ `Dc | `Time of float ]
 (** [`Dc] evaluates waveforms with {!Waveform.dc_value}; [`Time t] with
@@ -73,12 +87,6 @@ type restamp = {
     instead of rewriting the netlist and re-indexing it.  The stamp
     sequence is unchanged, so the assembled system is bit-identical to
     one built from a netlist carrying the overridden values. *)
-
-val no_restamp : restamp
-
-val restamp_wave : restamp option -> string -> Waveform.t -> Waveform.t
-(** The wave a named source stamps under an override set (identity
-    without a matching override). *)
 
 val restamp_ohms : restamp option -> string -> float -> float
 (** The resistance a named resistor stamps under an override set —
@@ -143,12 +151,23 @@ val impact_adjoint_dot :
 type engine
 (** A backend's paired system matrix and factorization state. *)
 
+type binding
+(** The value phase of assembly: the bound fault impact (which resistor,
+    at what conductance), the source waves under a bound stimulus and
+    their levels at a bound time, and the MOSFET evaluation buffer. *)
+
 type workspace = {
   w_size : int;
   w_eng : engine;  (** system matrix + factorization, backend-matched *)
+  w_vals : Numerics.Vec.t;
+      (** the system matrix's value array, which assembly adds into
+          through the plan's resolved slots *)
+  w_bind : binding;
   w_z : Numerics.Vec.t;  (** right-hand side *)
   mutable w_x : Numerics.Vec.t;  (** Newton iterate *)
   mutable w_x_new : Numerics.Vec.t;  (** Newton solve output / next iterate *)
+  mutable w_factors : int;  (** factorizations by {!ws_factor} so far *)
+  mutable w_reuses : int;  (** of those, sparse pattern replays *)
 }
 (** Preallocated solve state sized for one compiled topology.  The two
     iterate buffers are swapped (never reallocated) by the Newton loop.
@@ -216,33 +235,61 @@ val assemble :
   t ->
   x:Numerics.Vec.t ->
   time:source_time ->
-  ?companions:(string, companion) Hashtbl.t ->
+  ?companions:companions ->
   ?source_scale:float ->
   ?restamp:restamp ->
   gmin:float ->
   unit ->
   Numerics.Mat.t * Numerics.Vec.t
-(** Build the linearized MNA system at iterate [x].  [gmin] is added from
-    every node to ground.  [source_scale] (default 1) multiplies all
-    independent source values — the knob used by source stepping.
-    Without [companions], capacitors are open and inductors are shorts
-    (DC treatment). *)
+(** Build the linearized MNA system at iterate [x] into a fresh dense
+    matrix, whichever the backend.  [gmin] is added from every node to
+    ground.  [source_scale] (default 1) multiplies all independent
+    source values — the knob used by source stepping.  Without
+    [companions], capacitors are open and inductors are shorts (DC
+    treatment). *)
 
 val assemble_into :
   t ->
   workspace ->
   x:Numerics.Vec.t ->
   time:source_time ->
-  ?companions:(string, companion) Hashtbl.t ->
+  ?companions:companions ->
   ?source_scale:float ->
   ?restamp:restamp ->
   gmin:float ->
   unit ->
   unit
-(** {!assemble} into the workspace's preallocated system — the zero
-    allocation restamp path.  The workspace matrix and right-hand side
-    are zeroed first, so the result is bit-identical to {!assemble}.
-    @raise Invalid_argument on a size mismatch. *)
+(** {!assemble} into the workspace's preallocated system: {!bind_restamp}
+    and {!bind_time}, then {!assemble_bound}.  The result is
+    bit-identical to {!assemble}.
+    @raise Invalid_argument on a size mismatch or a workspace of another
+    plan's shape. *)
+
+(** {2 The compiled step}
+
+    {!assemble_into} split into its phases, so a solver can resolve a
+    probe's overrides once, its source levels once per time point, and
+    then assemble every Newton iteration without allocating. *)
+
+val bind_restamp : t -> workspace -> restamp option -> unit
+(** Resolve the overrides to plan indices — the impact resistor and its
+    conductance, every source's wave — held in the workspace until the
+    next bind. *)
+
+val bind_time : t -> workspace -> source_time -> unit
+(** Evaluate every source's bound wave at [time]. *)
+
+val assemble_bound :
+  t ->
+  workspace ->
+  x:Numerics.Vec.t ->
+  ?companions:companions ->
+  source_scale:float ->
+  gmin:float ->
+  unit ->
+  unit
+(** Zero the workspace system and stamp it at iterate [x] under the
+    bound overrides and time — allocation-free. *)
 
 val mosfet_operating_points :
   t -> x:Numerics.Vec.t -> (string * Mos_model.operating_point) list

@@ -30,63 +30,94 @@ type operating_point = {
   region : [ `Cutoff | `Triode | `Saturation ];
 }
 
-(* NMOS square law in the normal frame: vds >= 0.
-   Returns (id, d id/d vgs, d id/d vds, region). *)
-let nmos_normal ~beta ~vt ~lambda ~vgs ~vds =
-  let vgst = vgs -. vt in
-  if vgst <= 0. then (0., 0., 0., `Cutoff)
-  else begin
-    let clm = 1. +. (lambda *. vds) in
-    if vds < vgst then begin
-      (* triode *)
-      let core = (vgst *. vds) -. (0.5 *. vds *. vds) in
-      let id = beta *. core *. clm in
-      let gm = beta *. vds *. clm in
-      let gds = beta *. (((vgst -. vds) *. clm) +. (core *. lambda)) in
-      (id, gm, gds, `Triode)
-    end
-    else begin
-      let core = 0.5 *. vgst *. vgst in
-      let id = beta *. core *. clm in
-      let gm = beta *. vgst *. clm in
-      let gds = beta *. core *. lambda in
-      (id, gm, gds, `Saturation)
-    end
-  end
+type scratch = {
+  mutable vg : float;
+  mutable vd : float;
+  mutable vs : float;
+  mutable ids_out : float;
+  mutable dg_out : float;
+  mutable dd_out : float;
+  mutable ds_out : float;
+}
 
-(* NMOS channel current from pin D to pin S at absolute voltages,
-   handling drain/source inversion.  Returns current and its partials
-   with respect to (vg, vd, vs). *)
-let nmos_channel ~beta ~vt ~lambda ~vg ~vd ~vs =
-  if vd >= vs then begin
-    let id, gm, gds, region =
-      nmos_normal ~beta ~vt ~lambda ~vgs:(vg -. vs) ~vds:(vd -. vs)
-    in
-    (id, gm, gds, -.gm -. gds, region)
+let scratch () =
+  {
+    vg = 0.;
+    vd = 0.;
+    vs = 0.;
+    ids_out = 0.;
+    dg_out = 0.;
+    dd_out = 0.;
+    ds_out = 0.;
+  }
+
+(* The NMOS square law in the normal frame (vds >= 0), reached by
+   drain/source inversion (terminal swap) and, for PMOS, by voltage
+   mirroring: I_p(vg, vd, vs) = -I_n(-vg, -vd, -vs) with vt_n = -vt0,
+   the partials keeping their sign through the double negation.  All
+   float state lives in locals and in the all-float [scratch] record, so
+   an evaluation allocates nothing — it runs once per MOSFET per Newton
+   iteration. *)
+let beta m ~w ~l =
+  if w <= 0. || l <= 0. then invalid_arg "Mos_model.eval: w, l must be > 0";
+  m.kp *. w /. l
+
+let eval_into m ~beta s =
+  let pmos = match m.polarity with Pmos -> true | Nmos -> false in
+  let vt = if pmos then -.m.vt0 else m.vt0 in
+  let vg = if pmos then -.s.vg else s.vg in
+  let vd = if pmos then -.s.vd else s.vd in
+  let vs = if pmos then -.s.vs else s.vs in
+  let lambda = m.lambda in
+  (* inverted: the physical source is the D pin *)
+  let forward = vd >= vs in
+  let vgs = if forward then vg -. vs else vg -. vd in
+  let vds = if forward then vd -. vs else vs -. vd in
+  let vgst = vgs -. vt in
+  let id = ref 0. and gm = ref 0. and gds = ref 0. in
+  let region =
+    if vgst <= 0. then `Cutoff
+    else begin
+      let clm = 1. +. (lambda *. vds) in
+      if vds < vgst then begin
+        let core = (vgst *. vds) -. (0.5 *. vds *. vds) in
+        id := beta *. core *. clm;
+        gm := beta *. vds *. clm;
+        gds := beta *. (((vgst -. vds) *. clm) +. (core *. lambda));
+        `Triode
+      end
+      else begin
+        let core = 0.5 *. vgst *. vgst in
+        id := beta *. core *. clm;
+        gm := beta *. vgst *. clm;
+        gds := beta *. core *. lambda;
+        `Saturation
+      end
+    end
+  in
+  let id = !id and gm = !gm and gds = !gds in
+  (* current from pin D to pin S, partials by the chain rule *)
+  let ids_n = if forward then id else -.id in
+  s.ids_out <- (if pmos then -.ids_n else ids_n);
+  if forward then begin
+    s.dg_out <- gm;
+    s.dd_out <- gds;
+    s.ds_out <- -.gm -. gds
   end
   else begin
-    (* inverted: physical source is the D pin *)
-    let id, gm, gds, region =
-      nmos_normal ~beta ~vt ~lambda ~vgs:(vg -. vd) ~vds:(vs -. vd)
-    in
-    (* current from pin D to pin S is -id; partials by the chain rule *)
-    (-.id, -.gm, gm +. gds, -.gds, region)
-  end
+    s.dg_out <- -.gm;
+    s.dd_out <- gm +. gds;
+    s.ds_out <- -.gds
+  end;
+  region
 
 let eval m ~w ~l ~vg ~vd ~vs =
-  if w <= 0. || l <= 0. then invalid_arg "Mos_model.eval: w, l must be > 0";
-  let beta = m.kp *. w /. l in
-  match m.polarity with
-  | Nmos ->
-      let ids, d_gate, d_drain, d_source, region =
-        nmos_channel ~beta ~vt:m.vt0 ~lambda:m.lambda ~vg ~vd ~vs
-      in
-      { ids; d_gate; d_drain; d_source; region }
-  | Pmos ->
-      (* mirror: I_p(vg, vd, vs) = -I_n(-vg, -vd, -vs) with vt_n = -vt0.
-         The partials keep their sign through the double negation. *)
-      let ids_n, dg, dd, ds, region =
-        nmos_channel ~beta ~vt:(-.m.vt0) ~lambda:m.lambda ~vg:(-.vg)
-          ~vd:(-.vd) ~vs:(-.vs)
-      in
-      { ids = -.ids_n; d_gate = dg; d_drain = dd; d_source = ds; region }
+  let s = { (scratch ()) with vg; vd; vs } in
+  let region = eval_into m ~beta:(beta m ~w ~l) s in
+  {
+    ids = s.ids_out;
+    d_gate = s.dg_out;
+    d_drain = s.dd_out;
+    d_source = s.ds_out;
+    region;
+  }

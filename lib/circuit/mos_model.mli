@@ -43,3 +43,30 @@ val eval : t -> w:float -> l:float -> vg:float -> vd:float -> vs:float ->
     directions (vds of either sign); the derivatives form the exact
     Jacobian of [ids], which the Newton solver stamps directly.
     @raise Invalid_argument if [w] or [l] is not positive. *)
+
+type scratch = {
+  mutable vg : float;  (** in: gate voltage *)
+  mutable vd : float;  (** in: drain voltage *)
+  mutable vs : float;  (** in: source voltage *)
+  mutable ids_out : float;  (** out: channel current, drain pin to source pin *)
+  mutable dg_out : float;  (** out: d ids / d v(gate) *)
+  mutable dd_out : float;  (** out: d ids / d v(drain) *)
+  mutable ds_out : float;  (** out: d ids / d v(source) *)
+}
+(** Caller-owned evaluation buffer.  Every field is a float, so the
+    record is stored flat and reads and writes never box. *)
+
+val scratch : unit -> scratch
+(** A zeroed buffer. *)
+
+val beta : t -> w:float -> l:float -> float
+(** The device transconductance factor [kp * w / l] — a constant of the
+    compiled device, hoisted out of the Newton loop.
+    @raise Invalid_argument if [w] or [l] is not positive. *)
+
+val eval_into :
+  t -> beta:float -> scratch -> [ `Cutoff | `Triode | `Saturation ]
+(** {!eval} of a device with factor [beta] (see {!beta}) on the terminal
+    voltages held in the buffer, writing the current and its partials
+    back into it — bit-identical to {!eval}, without allocating.
+    Returns the region. *)

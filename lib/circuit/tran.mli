@@ -37,10 +37,12 @@ val simulate :
     ["tran.step_failure"] (see {!Numerics.Failpoint}) raises
     {!Step_failure} at the start of a step.
 
-    With [workspace], every Newton solve of every step restamps the
-    caller's preallocated system in place and one companion table is
-    refilled per step — the compiled hot path, bit-identical to the
-    allocating default (see {!Dc.solve}).  [restamp] substitutes
+    With [workspace], the restamp is bound once, every step solves
+    through {!Dc.step} in the caller's preallocated system and the
+    plan's companion slots are refilled in place — the compiled hot
+    path, allocation-free for a step that converges directly and
+    bit-identical to the allocating default (see {!Dc.solve}), which
+    uses the same companion slots.  [restamp] substitutes
     stimulus/fault-impact values at stamp time.  [continuation] applies
     to the initial operating point only (per-step solves already
     warm-start from the previous step) — see {!Dc.solve}.

@@ -32,6 +32,7 @@ let set m i j x = m.a.((i * m.c) + j) <- x
 let add_to m i j x = m.a.((i * m.c) + j) <- m.a.((i * m.c) + j) +. x
 let copy m = { m with a = Array.copy m.a }
 let fill m x = Array.fill m.a 0 (Array.length m.a) x
+let values m = m.a
 
 let mul_vec m v =
   if Vec.dim v <> m.c then invalid_arg "Mat.mul_vec: dimension mismatch";
@@ -75,48 +76,6 @@ type lu = {
   mutable factored : bool;
 }
 
-(* Crout-style in-place LU with partial pivoting. *)
-let lu_factor m =
-  if m.r <> m.c then invalid_arg "Mat.lu_factor: not square";
-  let n = m.r in
-  let a = Array.copy m.a in
-  let piv = Array.init n (fun i -> i) in
-  let sign = ref 1. in
-  for k = 0 to n - 1 do
-    (* pivot search in column k *)
-    let p = ref k in
-    let best = ref (Float.abs a.((k * n) + k)) in
-    for i = k + 1 to n - 1 do
-      let v = Float.abs a.((i * n) + k) in
-      if v > !best then begin
-        best := v;
-        p := i
-      end
-    done;
-    if !best < 1e-300 then raise (Singular k);
-    if !p <> k then begin
-      for j = 0 to n - 1 do
-        let t = a.((k * n) + j) in
-        a.((k * n) + j) <- a.((!p * n) + j);
-        a.((!p * n) + j) <- t
-      done;
-      let t = piv.(k) in
-      piv.(k) <- piv.(!p);
-      piv.(!p) <- t;
-      sign := -. !sign
-    end;
-    let akk = a.((k * n) + k) in
-    for i = k + 1 to n - 1 do
-      let lik = a.((i * n) + k) /. akk in
-      a.((i * n) + k) <- lik;
-      if lik <> 0. then
-        for j = k + 1 to n - 1 do
-          a.((i * n) + j) <- a.((i * n) + j) -. (lik *. a.((k * n) + j))
-        done
-    done
-  done;
-  { n; lu = a; piv; sign = !sign; factored = true }
-
 (* Caller-owned factorization workspace for the restamp-many hot path:
    [factor_in_place] overwrites it without allocating, so one workspace
    serves every Newton iteration of an analysis.  The elimination is the
@@ -139,6 +98,12 @@ let lu_pivots ws =
   if not ws.factored then invalid_arg "Mat.lu_pivots: workspace not factored";
   Array.copy ws.piv
 
+(* Crout-style in-place LU with partial pivoting over the flat
+   row-major array.  Every index below is derived from [n] (checked
+   against both arrays on entry) and from pivots in [0, n), so the
+   unchecked accesses stay in bounds.  The sign is tracked as a swap
+   parity and stored once: a float written into the mixed [lu] record
+   would box on every row swap. *)
 let factor_in_place m ws =
   if m.r <> m.c then invalid_arg "Mat.factor_in_place: not square";
   if m.r <> ws.n then invalid_arg "Mat.factor_in_place: size mismatch";
@@ -147,43 +112,56 @@ let factor_in_place m ws =
   Array.blit m.a 0 a 0 (n * n);
   let piv = ws.piv in
   for i = 0 to n - 1 do
-    piv.(i) <- i
+    Array.unsafe_set piv i i
   done;
-  ws.sign <- 1.;
   ws.factored <- false;
+  let odd = ref false in
   for k = 0 to n - 1 do
+    let kn = k * n in
     let p = ref k in
-    let best = ref (Float.abs a.((k * n) + k)) in
+    let best = ref (Float.abs (Array.unsafe_get a (kn + k))) in
     for i = k + 1 to n - 1 do
-      let v = Float.abs a.((i * n) + k) in
+      let v = Float.abs (Array.unsafe_get a ((i * n) + k)) in
       if v > !best then begin
         best := v;
         p := i
       end
     done;
     if !best < 1e-300 then raise (Singular k);
-    if !p <> k then begin
+    let p = !p in
+    if p <> k then begin
+      let pn = p * n in
       for j = 0 to n - 1 do
-        let t = a.((k * n) + j) in
-        a.((k * n) + j) <- a.((!p * n) + j);
-        a.((!p * n) + j) <- t
+        let t = Array.unsafe_get a (kn + j) in
+        Array.unsafe_set a (kn + j) (Array.unsafe_get a (pn + j));
+        Array.unsafe_set a (pn + j) t
       done;
-      let t = piv.(k) in
-      piv.(k) <- piv.(!p);
-      piv.(!p) <- t;
-      ws.sign <- -.ws.sign
+      let t = Array.unsafe_get piv k in
+      Array.unsafe_set piv k (Array.unsafe_get piv p);
+      Array.unsafe_set piv p t;
+      odd := not !odd
     end;
-    let akk = a.((k * n) + k) in
+    let akk = Array.unsafe_get a (kn + k) in
     for i = k + 1 to n - 1 do
-      let lik = a.((i * n) + k) /. akk in
-      a.((i * n) + k) <- lik;
+      let row = i * n in
+      let lik = Array.unsafe_get a (row + k) /. akk in
+      Array.unsafe_set a (row + k) lik;
       if lik <> 0. then
         for j = k + 1 to n - 1 do
-          a.((i * n) + j) <- a.((i * n) + j) -. (lik *. a.((k * n) + j))
+          Array.unsafe_set a (row + j)
+            (Array.unsafe_get a (row + j)
+            -. (lik *. Array.unsafe_get a (kn + j)))
         done
     done
   done;
+  ws.sign <- (if !odd then -1. else 1.);
   ws.factored <- true
+
+let lu_factor m =
+  if m.r <> m.c then invalid_arg "Mat.lu_factor: not square";
+  let ws = lu_workspace m.r in
+  factor_in_place m ws;
+  ws
 
 let solve_into ws b x =
   if not ws.factored then invalid_arg "Mat.solve_into: workspace not factored";
@@ -192,23 +170,25 @@ let solve_into ws b x =
   if Vec.dim x <> n then invalid_arg "Mat.solve_into: bad output dimension";
   if b == x then invalid_arg "Mat.solve_into: aliased input and output";
   for i = 0 to n - 1 do
-    x.(i) <- b.(piv.(i))
+    Array.unsafe_set x i (Array.unsafe_get b (Array.unsafe_get piv i))
   done;
   (* forward substitution, unit lower triangle *)
   for i = 1 to n - 1 do
-    let s = ref x.(i) in
+    let row = i * n in
+    let s = ref (Array.unsafe_get x i) in
     for j = 0 to i - 1 do
-      s := !s -. (a.((i * n) + j) *. x.(j))
+      s := !s -. (Array.unsafe_get a (row + j) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !s
+    Array.unsafe_set x i !s
   done;
   (* backward substitution *)
   for i = n - 1 downto 0 do
-    let s = ref x.(i) in
+    let row = i * n in
+    let s = ref (Array.unsafe_get x i) in
     for j = i + 1 to n - 1 do
-      s := !s -. (a.((i * n) + j) *. x.(j))
+      s := !s -. (Array.unsafe_get a (row + j) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !s /. a.((i * n) + i)
+    Array.unsafe_set x i (!s /. Array.unsafe_get a (row + i))
   done
 
 (* Transpose solve against the same held factorization: with PA = LU,
@@ -291,25 +271,10 @@ let rank1_solve ws r1 ~u ~v ~dg ~b ~x =
     true
   end
 
-let lu_solve { n; lu = a; piv; _ } b =
-  if Vec.dim b <> n then invalid_arg "Mat.lu_solve: dimension mismatch";
-  let x = Array.init n (fun i -> b.(piv.(i))) in
-  (* forward substitution, unit lower triangle *)
-  for i = 1 to n - 1 do
-    let s = ref x.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (a.((i * n) + j) *. x.(j))
-    done;
-    x.(i) <- !s
-  done;
-  (* backward substitution *)
-  for i = n - 1 downto 0 do
-    let s = ref x.(i) in
-    for j = i + 1 to n - 1 do
-      s := !s -. (a.((i * n) + j) *. x.(j))
-    done;
-    x.(i) <- !s /. a.((i * n) + i)
-  done;
+let lu_solve ws b =
+  if Vec.dim b <> ws.n then invalid_arg "Mat.lu_solve: dimension mismatch";
+  let x = Vec.create ws.n 0. in
+  solve_into ws b x;
   x
 
 let solve m b = lu_solve (lu_factor m) b

@@ -27,6 +27,12 @@ val add_to : t -> int -> int -> float -> unit
 val copy : t -> t
 val fill : t -> float -> unit
 
+val values : t -> float array
+(** The row-major backing array itself, shared: entry [(i, j)] lives at
+    index [i * cols + j], and writes through it are writes to the
+    matrix.  The slot-resolved stamping path of {!Circuit.Mna} adds into
+    it directly. *)
+
 val mul_vec : t -> Vec.t -> Vec.t
 (** Matrix-vector product. *)
 

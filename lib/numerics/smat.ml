@@ -38,6 +38,7 @@ let create n entries =
   List.iteri (fun s (_, j) -> ci.(s) <- j) sorted;
   { n; rp; ci; vx = Array.make nnz 0. }
 
+let like a = { a with vx = Array.make (Array.length a.vx) 0. }
 let size a = a.n
 let nnz a = Array.length a.ci
 let clear a = Array.fill a.vx 0 (Array.length a.vx) 0.
@@ -52,6 +53,13 @@ let slot a i j =
     if c = j then res := mid else if c < j then lo := mid + 1 else hi := mid - 1
   done;
   !res
+
+let position a i j =
+  if i < 0 || j < 0 || i >= a.n || j >= a.n then
+    invalid_arg "Smat.position: index out of range";
+  slot a i j
+
+let values a = a.vx
 
 let add_to a i j x =
   if i < 0 || j < 0 || i >= a.n || j >= a.n then
@@ -497,7 +505,11 @@ let factor_in_place a ws =
    step: success means fresh partial pivoting would have made exactly
    the held choices, so the replay's arithmetic is the fresh
    factorization's arithmetic — refactorization can never change a
-   result, only skip the symbolic bookkeeping. *)
+   result, only skip the symbolic bookkeeping.  A candidate that only
+   ties the held pivot also declines the replay: the fresh pass keeps
+   the first maximum in its own row order, which after earlier swaps is
+   not the held order, so on a tie (the +-1 branch-incidence entries,
+   say) it may pick the other row. *)
 (* Fast replay path: scatter through the precompiled source map, then
    per pivot run the guard scan and the scheduled updates.  Operation
    order and arithmetic are exactly the slow path's (hence the fresh
@@ -532,7 +544,7 @@ let refactor_scheduled a ws =
              (Array.unsafe_get ws.r_vx row)
              (Array.unsafe_get ws.cl_slot s))
       in
-      if v > !best then begin
+      if v >= !best then begin
         best := v;
         p := row
       end
@@ -610,7 +622,7 @@ let refactor a ws =
         let p = ref kk in
         for s = ws.cl_ptr.(kk) to ws.cl_ptr.(kk + 1) - 1 do
           let v = Float.abs ws.r_vx.(ws.cl_row.(s)).(ws.cl_slot.(s)) in
-          if v > !best then begin
+          if v >= !best then begin
             best := v;
             p := ws.cl_row.(s)
           end

@@ -53,6 +53,21 @@ val nnz : t -> int
 val clear : t -> unit
 (** Zero all values; the pattern is untouched. *)
 
+val like : t -> t
+(** A zero matrix on the same pattern, sharing its (immutable) structure
+    arrays — the cheap way to give every workspace of one compiled
+    topology its own values. *)
+
+val position : t -> int -> int -> int
+(** [position a i j] is the index of entry [(i, j)] in {!values}, or
+    [-1] when the pattern lacks it — resolved once per stamp by the
+    compile phase, so assembly never searches a row.
+    @raise Invalid_argument on an index out of range. *)
+
+val values : t -> float array
+(** The CSR value array itself, shared: writes through it are writes to
+    the matrix. *)
+
 val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j x] increments slot [(i,j)] — the MNA stamp primitive.
     @raise Invalid_argument if [(i,j)] is outside the pattern. *)
@@ -111,7 +126,9 @@ val refactor : t -> lu -> bool
     fill and pivot order held from a previous {!factor_in_place} —
     the restamp-many fast path, skipping symbolic analysis and all fill
     bookkeeping.  The guard re-runs the pivot scan at every step: if the
-    held pivot row is still the one fresh partial pivoting would select,
+    held pivot row is still the one fresh partial pivoting would select
+    — strictly larger than every other candidate, since on a tie the
+    fresh pass's row order decides —
     the replay is bit-identical to {!factor_in_place}; otherwise (or on
     a numerically singular column, or when no pattern is held) it
     returns [false] without raising, and the caller must fall back to

@@ -85,8 +85,10 @@ module Histogram = struct
     let rec find i = if i >= n then n else if v <= h.bounds.(i) then i else find (i + 1) in
     find 0
 
-  let observe h v =
-    if active () then ignore (Atomic.fetch_and_add h.buckets.(bucket_of h v) 1)
+  let observe_n h v n =
+    if active () then ignore (Atomic.fetch_and_add h.buckets.(bucket_of h v) n)
+
+  let observe h v = observe_n h v 1
 
   let label h i =
     if i < Array.length h.bounds then Printf.sprintf "<=%d" h.bounds.(i)

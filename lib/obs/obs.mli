@@ -111,6 +111,10 @@ module Histogram : sig
   (** Count a sample into its bucket when tracing is {!active}
       (no-op otherwise). *)
 
+  val observe_n : t -> int -> int -> unit
+  (** [observe_n h v n] counts [n] samples of value [v] at once — how a
+      hot loop that tallied its samples in locals reports them. *)
+
   val counts : t -> (string * int) list
   (** [(bucket label, count)] rows, e.g. [("<=8", 12); (">64", 1)]. *)
 

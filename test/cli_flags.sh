@@ -72,4 +72,44 @@ expect_note "dense guard fires on skc32"  yes "consider --backend sparse" op --m
 expect_note "no guard on sparse backend"  no  "consider --backend sparse" op --macro skc32 --backend sparse
 expect_note "no guard on small macros"    no  "consider --backend sparse" op --macro iv --backend dense
 
+# Every subcommand's help must render: cmdliner reports a bad doc-string
+# escape as "cmdliner error" on stderr and mangles the text.  The
+# subcommands are read off the top-level help, so a new one is covered
+# without touching this list.
+help_ok() {
+  local label="$1"
+  shift
+  local out
+  out=$("$atpg" "$@" --help=plain 2>&1)
+  local got=$?
+  if [ "$got" -ne 0 ]; then
+    echo "FAIL $label --help: exited $got" >&2
+    fails=$((fails + 1))
+  elif grep -q "cmdliner error" <<<"$out"; then
+    echo "FAIL $label --help: $(grep -m1 "cmdliner error" <<<"$out")" >&2
+    fails=$((fails + 1))
+  else
+    echo "ok   $label --help"
+  fi
+}
+
+help_ok atpg
+subcommands=$("$atpg" --help=plain 2>/dev/null |
+  sed -n '/^COMMANDS/,/^[A-Z]/p' | sed -n 's/^       \([a-z][a-z-]*\) .*/\1/p')
+if [ -z "$subcommands" ]; then
+  echo "FAIL top-level help lists no subcommands" >&2
+  fails=$((fails + 1))
+fi
+for cmd in $subcommands; do
+  help_ok "$cmd" "$cmd"
+done
+
+# The --inject example must survive rendering intact.
+if "$atpg" generate --help=plain 2>/dev/null | grep -q "dc.no_convergence=0.3@5"; then
+  echo "ok   --inject example renders intact"
+else
+  echo "FAIL --inject example mangled in generate --help" >&2
+  fails=$((fails + 1))
+fi
+
 exit "$fails"

@@ -384,6 +384,123 @@ let test_decimation_values () =
         (Int64.bits_of_float coarse))
     decimated
 
+(* ---------------------------------------------------- compiled step *)
+
+(* The compiled transient step (workspace, indexed companions, bound
+   overrides) against the allocating reference [Tran.simulate], bit for
+   bit on every recorded sample. *)
+let check_tran msg (reference : Circuit.Tran.result) (compiled : Circuit.Tran.result) =
+  List.iter2
+    (fun (r : Circuit.Tran.probe) (c : Circuit.Tran.probe) ->
+      check_bitwise (msg ^ " " ^ r.node) r.values c.values)
+    reference.probes compiled.probes
+
+(* configuration 5's step stimulus at its seed values *)
+let c5_stimulus () =
+  let c5 = Experiments.Iv_configs.config5 in
+  match c5.Test_config.analysis with
+  | Test_config.Tran_samples { stimulus; sample_rate; test_time } ->
+      (stimulus (Test_config.param_values_of_seed c5), test_time, 1. /. sample_rate)
+  | _ -> Alcotest.fail "configuration 5 is not a sampled transient"
+
+let iv_plan ?backend ?fault () =
+  let target = match fault with Some f -> injected f | None -> iv_target in
+  let wave, tstop, dt = c5_stimulus () in
+  let source = target.Execute.stimulus_source in
+  let nl = Execute.with_stimulus target.Execute.netlist ~source wave in
+  let restamp =
+    {
+      Circuit.Mna.stimulus = Some (source, wave);
+      impact = Option.map Faults.Inject.impact_override fault;
+    }
+  in
+  (Circuit.Mna.build ?backend nl, restamp, tstop, dt)
+
+let test_step_rlc_methods () =
+  let open Circuit in
+  let nl =
+    Netlist.add_all (Netlist.empty ~title:"rlc")
+      [
+        Device.Vsource
+          {
+            name = "v";
+            plus = "in";
+            minus = "0";
+            wave = Waveform.Sine { offset = 0.2; ampl = 1.; freq = 50e3; phase = 0. };
+          };
+        Device.Resistor { name = "r1"; a = "in"; b = "mid"; ohms = 100. };
+        Device.Inductor { name = "l1"; a = "mid"; b = "out"; henries = 1e-3 };
+        Device.Capacitor { name = "c1"; a = "out"; b = "0"; farads = 10e-9 };
+        Device.Resistor { name = "r2"; a = "out"; b = "0"; ohms = 10e3 };
+        Device.Capacitor { name = "c2"; a = "mid"; b = "0"; farads = 1e-9 };
+      ]
+  in
+  let restamp = { Mna.stimulus = None; impact = Some ("r2", 2.2e3) } in
+  List.iter
+    (fun (label, method_) ->
+      List.iter
+        (fun backend ->
+          let sys = Mna.build ~backend nl in
+          let run ?workspace () =
+            Tran.simulate ~method_ ?workspace ~restamp sys ~tstop:100e-6 ~dt:0.5e-6
+              ~observe:[ "out"; "mid"; "0" ]
+          in
+          let reference = run () in
+          let compiled = run ~workspace:(Mna.workspace sys) () in
+          check_tran label reference compiled)
+        [ Mna.Dense; Mna.Sparse ])
+    [ ("backward Euler", Tran.Backward_euler); ("trapezoidal", Tran.Trapezoidal) ]
+
+(* IV configuration 5 on the sparse backend, nominal and with a pinhole
+   impact restamped, against the allocating dense reference. *)
+let test_step_sparse_iv () =
+  List.iter
+    (fun fault ->
+      let dense, restamp, tstop, dt = iv_plan ?fault () in
+      let sparse, _, _, _ = iv_plan ~backend:Circuit.Mna.Sparse ?fault () in
+      let observe = [ iv_target.Execute.observe_node ] in
+      let reference = Circuit.Tran.simulate ~restamp dense ~tstop ~dt ~observe in
+      let compiled =
+        Circuit.Tran.simulate ~workspace:(Circuit.Mna.workspace sparse) ~restamp sparse
+          ~tstop ~dt ~observe
+      in
+      check_tran "sparse c5" reference compiled)
+    [ None; Some pinhole ]
+
+(* Seeded dc.no_convergence injection at a rate that makes steps refine
+   (the local halving recursion) but never exhausts it: both paths draw
+   the same failpoint sequence and must refine identically. *)
+let test_step_refinement_injected () =
+  let sys, restamp, tstop, dt = iv_plan ~fault:bridge () in
+  let observe = [ iv_target.Execute.observe_node ] in
+  let injected ?workspace () =
+    Fp.with_failpoints ~seed:5L
+      [ { Fp.point = "dc.no_convergence"; probability = 0.02; max_triggers = None } ]
+      (fun () ->
+        let r = Circuit.Tran.simulate ?workspace ~restamp sys ~tstop ~dt ~observe in
+        (r, Fp.trigger_count "dc.no_convergence"))
+  in
+  let reference, triggers = injected () in
+  let compiled, triggers' = injected ~workspace:(Circuit.Mna.workspace sys) () in
+  Alcotest.(check bool) "injection refined some steps" true (triggers > 1);
+  Alcotest.(check int) "same failpoint triggers" triggers triggers';
+  check_tran "refined c5" reference compiled
+
+(* The compiled step allocates (almost) nothing: a 750-step
+   configuration-5 simulation through a workspace stays within 64 minor
+   words a step, the per-simulation buffers included. *)
+let test_step_allocation_bound () =
+  let sys, restamp, tstop, dt = iv_plan ~fault:pinhole () in
+  let ws = Circuit.Mna.workspace sys in
+  let observe = [ iv_target.Execute.observe_node ] in
+  let run () = Circuit.Tran.simulate ~workspace:ws ~restamp sys ~tstop ~dt ~observe in
+  let steps = Array.length (run ()).Circuit.Tran.times - 1 in
+  Alcotest.(check int) "750 steps" 750 steps;
+  let before = Gc.minor_words () in
+  ignore (run ());
+  let per_step = (Gc.minor_words () -. before) /. float_of_int steps in
+  if per_step > 64. then Alcotest.failf "%.1f minor words per step (bound 64)" per_step
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -410,6 +527,15 @@ let () =
           Alcotest.test_case "probe gating" `Quick test_continuation_probe_gating;
           Alcotest.test_case "engine outcomes compatible" `Quick
             test_engine_continuation_compatible;
+        ] );
+      ( "compiled step",
+        [
+          Alcotest.test_case "RLC, both methods and backends" `Quick
+            test_step_rlc_methods;
+          Alcotest.test_case "sparse IV configuration 5" `Quick test_step_sparse_iv;
+          Alcotest.test_case "refinement under injection" `Quick
+            test_step_refinement_injected;
+          Alcotest.test_case "allocation bound" `Quick test_step_allocation_bound;
         ] );
       ( "decimation",
         [

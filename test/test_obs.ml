@@ -222,6 +222,99 @@ let test_engine_results_unchanged_by_tracing () =
     (Session.to_string plain.Engine.results)
     (Session.to_string traced.Engine.results)
 
+(* ------------------------------------------------ transient counters *)
+
+let fresh_step_evaluator () =
+  let config = Experiments.Iv_configs.config5 in
+  Evaluator.create config ~nominal:iv_target
+    ~box_model:(Tolerance.floor_only config)
+
+let step_dictionary =
+  Faults.Dictionary.of_faults
+    [
+      Faults.Fault.bridge "n1" "vout" ~resistance:10e3;
+      Faults.Fault.pinhole "m6" ~r_shunt:2e3;
+    ]
+
+let tran_counters counters =
+  List.filter
+    (fun (name, _) -> String.length name > 12 && String.sub name 0 12 = "solver.tran.")
+    counters
+
+(* The transient step's counters (tallied in locals, reported once per
+   simulation) leave results untouched, are identical at jobs 1 and 4,
+   and account for every step. *)
+let test_tran_step_counters () =
+  let run jobs =
+    Engine.run ~executor:(executor_of jobs)
+      ~evaluators:[ fresh_step_evaluator () ]
+      step_dictionary
+  in
+  let plain = run 1 in
+  let traced jobs =
+    Obs.enable ();
+    let r = run jobs in
+    let counters = tran_counters (Obs.counters ()) in
+    let histogram =
+      List.assoc "solver.tran.newton_per_step" (Obs.histograms ())
+    in
+    Obs.shutdown ();
+    (r, counters, histogram)
+  in
+  let r1, c1, h1 = traced 1 in
+  let _, c4, h4 = traced 4 in
+  Alcotest.(check string) "session bytes identical with tracing on"
+    (Session.to_string plain.Engine.results)
+    (Session.to_string r1.Engine.results);
+  Alcotest.(check (list (pair string int))) "tran counters at jobs=4" c1 c4;
+  Alcotest.(check (list (pair string int))) "newton_per_step at jobs=4" h1 h4;
+  let steps = List.assoc "solver.tran.steps" c1 in
+  Alcotest.(check bool) "steps counted" true (steps > 0);
+  let samples = List.fold_left (fun acc (_, n) -> acc + n) 0 h1 in
+  match List.assoc_opt "solver.tran.refined_steps" c1 with
+  | None -> Alcotest.fail "solver.tran.refined_steps not registered"
+  | Some 0 -> Alcotest.(check int) "one Newton sample per step" steps samples
+  | Some _ -> Alcotest.(check bool) "a Newton sample per (sub-)step" true (samples > steps)
+
+(* Refinement shows in the counter: under seeded dc.no_convergence
+   injection the refined steps are counted, each adding its sub-step
+   solves to the histogram, and tracing does not move a sample. *)
+let test_tran_refined_steps () =
+  let sys = Circuit.Mna.build iv_target.Execute.netlist in
+  let simulate () =
+    Numerics.Failpoint.with_failpoints ~seed:5L
+      [
+        {
+          Numerics.Failpoint.point = "dc.no_convergence";
+          probability = 0.02;
+          max_triggers = None;
+        };
+      ]
+      (fun () ->
+        Circuit.Tran.simulate ~workspace:(Circuit.Mna.workspace sys) sys
+          ~tstop:7.5e-6 ~dt:1e-8 ~observe:[ iv_target.Execute.observe_node ])
+  in
+  let plain = simulate () in
+  Obs.enable ();
+  let traced = simulate () in
+  let counters = Obs.counters () in
+  let samples =
+    List.fold_left
+      (fun acc (_, n) -> acc + n)
+      0
+      (List.assoc "solver.tran.newton_per_step" (Obs.histograms ()))
+  in
+  Obs.shutdown ();
+  let bits (r : Circuit.Tran.result) =
+    Array.map Int64.bits_of_float (List.hd r.Circuit.Tran.probes).values
+  in
+  Alcotest.(check (array int64)) "tracing is bit-neutral" (bits plain) (bits traced);
+  let refined = List.assoc "solver.tran.refined_steps" counters in
+  let steps = List.assoc "solver.tran.steps" counters in
+  Alcotest.(check bool) "some steps refined" true (refined > 0);
+  (* a refined step solves at least its two halves *)
+  Alcotest.(check bool) "sub-steps sampled" true (samples >= steps + refined)
+
 (* ------------------------------------------------------- trace files *)
 
 (* Minimal structural validation: every line must be a single flat-ish
@@ -354,6 +447,10 @@ let () =
             test_counters_match_across_jobs;
           Alcotest.test_case "continuation ladder counters" `Quick
             test_continuation_counters;
+          Alcotest.test_case "transient step counters" `Slow
+            test_tran_step_counters;
+          Alcotest.test_case "refined steps counted" `Quick
+            test_tran_refined_steps;
           Alcotest.test_case "engine results unchanged by tracing" `Slow
             test_engine_results_unchanged_by_tracing;
           Alcotest.test_case "trace schema + cross-jobs identity" `Slow
