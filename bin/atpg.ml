@@ -316,31 +316,31 @@ let noise_cmd =
 
 (* -- context-backed commands ------------------------------------------ *)
 
-let iv_context ?(legacy = false) ?(continuation = false) ?(batching = true)
+let iv_context ?(legacy = false) ?(batching = true)
     ?(backend = Circuit.Mna.Dense) ~fast () =
   prerr_endline "calibrating tolerance boxes...";
   Experiments.Setup.iv ~profile:(profile_of fast)
     ~mode:(if legacy then `Legacy else `Compiled)
-    ~continuation ~batching ~backend ()
+    ~batching ~backend ()
 
 (* Generation context for any --macro: the IV-converter gets the paper's
    calibrated setup, every other macro the deterministic probe context.
    Identical construction to Serve.Server's context cache, so the serve
    and one-shot paths pose bit-identical problems (the basis of the
    bench's verdict-compatibility gate). *)
-let generation_context ?(legacy = false) ?(continuation = false)
-    ?(batching = true) ?(backend = Circuit.Mna.Dense) ~macro_name ~fast () =
+let generation_context ?(legacy = false) ?(batching = true)
+    ?(backend = Circuit.Mna.Dense) ~macro_name ~fast () =
   match macro_of_name macro_name with
   | Error e -> Error e
   | Ok macro ->
       warn_dense_backend ~backend (Macros.Macro.nominal_netlist macro);
       if String.equal macro_name "iv" then
-        Ok (iv_context ~legacy ~continuation ~batching ~backend ~fast (), None)
+        Ok (iv_context ~legacy ~batching ~backend ~fast (), None)
       else
         Ok
           ( Experiments.Setup.probe ~profile:(profile_of fast)
               ~mode:(if legacy then `Legacy else `Compiled)
-              ~continuation ~batching ~backend ~macro (),
+              ~batching ~backend ~macro (),
             Some Experiments.Setup.probe_options )
 
 let progress ~done_ ~total ~fault_id =
@@ -640,17 +640,6 @@ let legacy_eval_arg =
   in
   Arg.(value & flag & info [ "legacy-eval" ] ~doc)
 
-let continuation_arg =
-  let doc =
-    "Warm-start each fault's impact-ladder solves from the previous \
-     impact level (homotopy continuation with rank-1 first steps). \
-     Faster, and deterministic across $(b,--jobs); converged results \
-     satisfy the same solver tolerances but are not guaranteed \
-     bit-identical to the default cold-start path. Incompatible with \
-     $(b,--legacy-eval)."
-  in
-  Arg.(value & flag & info [ "continuation" ] ~doc)
-
 let no_batch_arg =
   let doc =
     "Disable config-major batched fault evaluation (one held \
@@ -677,11 +666,7 @@ let grad_arg =
 
 let generate_cmd =
   let run fast macro fault_id take save max_retries fail_fast resume inject
-      inject_seed jobs legacy continuation no_batch grad backend trace =
-    if legacy && continuation then begin
-      prerr_endline "atpg: --continuation requires the compiled path";
-      exit 2
-    end;
+      inject_seed jobs legacy no_batch grad backend trace =
     if legacy && grad then begin
       prerr_endline "atpg: --grad requires the compiled path";
       exit 2
@@ -699,8 +684,8 @@ let generate_cmd =
             (* build the context first: injection targets the resilient
                generation run, not the tolerance-box setup *)
             match
-              generation_context ~legacy ~continuation
-                ~batching:(not no_batch) ~backend ~macro_name:macro ~fast ()
+              generation_context ~legacy ~batching:(not no_batch) ~backend
+                ~macro_name:macro ~fast ()
             with
             | Error e ->
                 prerr_endline e;
@@ -754,8 +739,7 @@ let generate_cmd =
     Term.(
       const run $ fast_arg $ macro_arg $ fault_arg $ take_arg $ save_arg
       $ max_retries_arg $ fail_fast_arg $ resume_arg $ inject_arg
-      $ inject_seed_arg $ jobs_arg $ legacy_eval_arg $ continuation_arg
-      $ no_batch_arg $ grad_arg $ backend_arg $ trace_arg)
+      $ inject_seed_arg $ jobs_arg $ legacy_eval_arg $ no_batch_arg $ grad_arg $ backend_arg $ trace_arg)
 
 let compact_cmd =
   let run fast macro backend no_batch take delta load save max_retries

@@ -27,11 +27,9 @@ val default_options : options
 
 type report = {
   solution : Numerics.Vec.t;
-  newton_iterations : int;  (** iterations of the successful attempt *)
-  factorizations : int;
-      (** full LU factorizations of the successful attempt — equal to
-          [newton_iterations] except when a continuation's rank-1 first
-          step replaced one *)
+  newton_iterations : int;
+      (** iterations of the successful attempt — each one assembles and
+          factors the system once *)
   pattern_reuses : int;
       (** of those factorizations, how many the sparse backend served by
           numeric replay on a held pattern ({!Numerics.Smat.refactor});
@@ -40,18 +38,6 @@ type report = {
   source_steps : int;  (** source-stepping stages used *)
 }
 
-type continuation
-(** Caller-owned homotopy state for a ladder of related solves (the
-    impact-convergence loop): the previous converged solution used as the
-    Newton warm start, plus a held factorization that serves the first
-    Newton step of the next solve through {!Numerics.Mat.rank1_solve}
-    when the two systems differ only in one fault-impact resistance.
-    One continuation belongs to one solve site (same topology, same
-    analysis) and must not be shared across domains. *)
-
-val continuation : Mna.t -> continuation
-(** Fresh (cold) continuation state sized for the system. *)
-
 val solve :
   ?options:options ->
   ?guess:Numerics.Vec.t ->
@@ -59,7 +45,6 @@ val solve :
   ?source_scale:float ->
   ?workspace:Mna.workspace ->
   ?restamp:Mna.restamp ->
-  ?continuation:continuation ->
   Mna.t ->
   time:Mna.source_time ->
   report
@@ -74,24 +59,28 @@ val solve :
     (the legacy build-per-solve path).  Both produce bit-identical
     reports: same arithmetic, same pivot order, same iteration counts.
     [restamp] substitutes stimulus/fault-impact values at stamp time on
-    either path.
-
-    With [continuation], the solver warm-starts Newton from the state's
-    stored solution (overriding [guess]) and — when a workspace is
-    present and the held factorization differs from the requested system
-    only in the restamped impact resistance — solves the first Newton
-    step against the held factorization by Sherman–Morrison.  A
-    conditioning-guard failure falls back to the ordinary
-    refactorization, bit-exact with the non-continuation step.  The
-    contract is tolerance-identical, not bit-identical: the converged
-    solution satisfies the same [abstol]/[reltol] criterion but may
-    differ in low-order bits because the Newton trajectory differs.
-    After a convergent solve the state is updated in place; a failed
-    solve leaves it untouched.
+    either path.  Newton starts from [guess] (zeros by default), and the
+    stepping ladders restart from it too.
     @raise No_convergence when Newton, gmin stepping and source stepping
     all fail.
-    @raise Invalid_argument if the workspace or continuation size does
-    not match the system. *)
+    @raise Invalid_argument if [guess] or the workspace does not match
+    the system. *)
+
+val damp :
+  options:options ->
+  n_nodes:int ->
+  x:Numerics.Vec.t ->
+  s:Numerics.Vec.t ->
+  out:Numerics.Vec.t ->
+  bool
+(** One damped Newton update from iterate [x] toward the raw solve [s]:
+    the node-voltage step (the first [n_nodes] entries) is bounded by
+    [vlimit], [out] receives [x + alpha * (s - x)], and the result says
+    whether that full ([alpha = 1]) step converged on the node voltages
+    within [abstol]/[reltol].  [out] may be [s] itself (the Newton loop
+    updates in place) but not [x].  The one damping walk of the solver:
+    replaying it against a fixed [s] reproduces a linear plan's Newton
+    trajectory bit for bit. *)
 
 val step :
   options:options ->
@@ -102,8 +91,7 @@ val step :
   time:Mna.source_time ->
   int
 (** The compiled transient step: {!solve} from [guess] on a workspace
-    whose overrides were bound by {!Mna.bind_restamp}, without a
-    continuation.  Returns the Newton iterations of the converged
+    whose overrides were bound by {!Mna.bind_restamp}.  Returns the Newton iterations of the converged
     attempt and leaves the solution in the workspace's [w_x] (valid
     until the workspace's next solve).  Same failpoints, stepping
     ladders, counters and arithmetic as {!solve} — bit-identical — but a

@@ -489,13 +489,8 @@ let assemble_core t bd ~vals ~z ~x ~companions ~source_scale ~gmin =
         inject z si i0
   done
 
-(* The fault-impact restamp knob targets exactly one resistor, so the
-   difference between two impact resistances r0 -> r1 is the symmetric
-   rank-1 conductance stamp dg * (e_i - e_j)(e_i - e_j)^T with
-   dg = 1/r1 - 1/r0 and the ground terminal (-1) dropped — the view the
-   Sherman-Morrison solve and the complex-matrix update both consume. *)
-type rank1_impact = { r1_i : int; r1_j : int; r1_dg : float }
-
+(* The fault-impact restamp knob targets exactly one resistor: its
+   terminals' unknown indices, the ground terminal as -1. *)
 let impact_site t device =
   let found = ref None in
   Array.iter
@@ -507,18 +502,6 @@ let impact_site t device =
       | _ -> ())
     t.stamp_plan;
   !found
-
-let impact_rank1 t ~device ~r_from ~r_to =
-  match impact_site t device with
-  | None -> None
-  | Some (i, j) ->
-      Some { r1_i = i; r1_j = j; r1_dg = (1. /. r_to) -. (1. /. r_from) }
-
-let rank1_direction t { r1_i; r1_j; _ } u =
-  if Vec.dim u <> t.size then invalid_arg "Mna.rank1_direction: bad size";
-  Array.fill u 0 t.size 0.;
-  if r1_i >= 0 then u.(r1_i) <- 1.;
-  if r1_j >= 0 then u.(r1_j) <- -1.
 
 (* Partial-derivative stamp views for the adjoint sensitivity layer.
    The right-hand side z depends on an independent source's DC level
@@ -588,7 +571,6 @@ type workspace = {
   w_z : Vec.t;
   mutable w_x : Vec.t;
   mutable w_x_new : Vec.t;
-  mutable w_factors : int;
   mutable w_reuses : int;
 }
 
@@ -610,30 +592,19 @@ let workspace t =
     w_z = Vec.create t.size 0.;
     w_x = Vec.create t.size 0.;
     w_x_new = Vec.create t.size 0.;
-    w_factors = 0;
     w_reuses = 0;
   }
 
 let ws_factor ws =
   match ws.w_eng with
-  | E_dense { ea; elu } ->
-      Mat.factor_in_place ea elu;
-      ws.w_factors <- ws.w_factors + 1;
-      false
+  | E_dense { ea; elu } -> Mat.factor_in_place ea elu
   | E_sparse { es; eslu } ->
       (* numeric replay on the held pattern when the pivot guard admits
          it; the fallback is the full symbolic pass.  Both produce the
          same factorization bit for bit, so which one ran is observable
          only through the stats. *)
-      let replayed =
-        Smat.refactor es eslu
-        ||
-        (Smat.factor_in_place es eslu;
-         false)
-      in
-      ws.w_factors <- ws.w_factors + 1;
-      if replayed then ws.w_reuses <- ws.w_reuses + 1;
-      replayed
+      if Smat.refactor es eslu then ws.w_reuses <- ws.w_reuses + 1
+      else Smat.factor_in_place es eslu
 
 let ws_solve_into ws b x =
   match ws.w_eng with
@@ -654,79 +625,6 @@ let ws_sparse_lu ws =
   match ws.w_eng with
   | E_dense _ -> None
   | E_sparse { eslu; _ } -> Some eslu
-
-(* A retained factorization plus the scratch its rank-1 solve needs —
-   the backend-agnostic face of the continuation's held state. *)
-type held =
-  | H_dense of { hlu : Mat.lu; hr1 : Mat.rank1; mutable hd_ok : bool }
-  | H_sparse of {
-      hslu : Smat.lu;
-      hy : Vec.t;
-      hw : Vec.t;
-      mutable hs_ok : bool;
-    }
-
-let held t =
-  match t.backend with
-  | Dense ->
-      H_dense
-        {
-          hlu = Mat.lu_workspace t.size;
-          hr1 = Mat.rank1_workspace t.size;
-          hd_ok = false;
-        }
-  | Sparse ->
-      H_sparse
-        {
-          hslu = Smat.lu_workspace t.size;
-          hy = Vec.create t.size 0.;
-          hw = Vec.create t.size 0.;
-          hs_ok = false;
-        }
-
-let held_factored = function
-  | H_dense { hd_ok; _ } -> hd_ok
-  | H_sparse { hs_ok; _ } -> hs_ok
-
-let hold ws hd =
-  match (ws.w_eng, hd) with
-  | E_dense { elu; _ }, H_dense h ->
-      Mat.lu_blit ~src:elu ~dst:h.hlu;
-      h.hd_ok <- true
-  | E_sparse { eslu; _ }, H_sparse h ->
-      Smat.lu_blit ~src:eslu ~dst:h.hslu;
-      h.hs_ok <- true
-  | E_dense _, H_sparse _ | E_sparse _, H_dense _ ->
-      invalid_arg "Mna.hold: workspace/held backend mismatch"
-
-(* Sherman-Morrison against the held factorization.  The sparse arm
-   replays {!Mat.rank1_solve}'s float sequence operation for operation
-   (two solves, two dots, the same cancellation guard, the same update
-   loop), so continuation solves stay bit-identical across backends. *)
-let held_rank1_solve hd ~u ~v ~dg ~b ~x =
-  match hd with
-  | H_dense { hlu; hr1; hd_ok } ->
-      if not hd_ok then invalid_arg "Mna.held_rank1_solve: nothing held";
-      Mat.rank1_solve hlu hr1 ~u ~v ~dg ~b ~x
-  | H_sparse { hslu; hy; hw; hs_ok } ->
-      if not hs_ok then invalid_arg "Mna.held_rank1_solve: nothing held";
-      if b == x then invalid_arg "Mna.held_rank1_solve: aliased input/output";
-      Smat.solve_into hslu b hy;
-      Smat.solve_into hslu u hw;
-      let vty = Vec.dot v hy in
-      let vtw = Vec.dot v hw in
-      let denom = 1. +. (dg *. vtw) in
-      if
-        (not (Float.is_finite denom))
-        || Float.abs denom <= 1e-10 *. (1. +. Float.abs (dg *. vtw))
-      then false
-      else begin
-        let coef = dg *. vty /. denom in
-        for i = 0 to Vec.dim x - 1 do
-          x.(i) <- hy.(i) -. (coef *. hw.(i))
-        done;
-        true
-      end
 
 let assemble t ~x ~time ?companions ?(source_scale = 1.) ?restamp ~gmin () =
   if Vec.dim x <> t.size then invalid_arg "Mna.assemble: bad iterate size";

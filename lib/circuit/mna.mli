@@ -93,31 +93,10 @@ val restamp_ohms : restamp option -> string -> float -> float
     shared with the small-signal and noise stampers so every analysis
     sees the same fault impact. *)
 
-type rank1_impact = {
-  r1_i : int;  (** first terminal's unknown index, [-1] for ground *)
-  r1_j : int;  (** second terminal's unknown index, [-1] for ground *)
-  r1_dg : float;  (** conductance delta [1/r_to - 1/r_from] *)
-}
-(** The fault-impact stamp as an explicit rank-1 view: changing a single
-    resistor from [r_from] to [r_to] perturbs the assembled system by
-    [r1_dg * u * u^T] where [u = e_i - e_j] (ground rows dropped).  The
-    DC/Tran solvers consume it through {!Numerics.Mat.rank1_solve}; the
-    AC complex matrix through {!Numerics.Cmat.rank1_update}. *)
-
 val impact_site : t -> string -> (int * int) option
 (** Unknown indices of a named resistor's terminals, or [None] if the
     plan has no resistor of that name (e.g. the fault device is absent
     from this configuration's topology). *)
-
-val impact_rank1 :
-  t -> device:string -> r_from:float -> r_to:float -> rank1_impact option
-(** The rank-1 view of moving the named resistor's value [r_from] →
-    [r_to]; [None] if the device is not a resistor in this plan. *)
-
-val rank1_direction : t -> rank1_impact -> Numerics.Vec.t -> unit
-(** [rank1_direction t r1 u] overwrites [u] with the stamp direction
-    [e_i - e_j] (ground terminals contribute nothing).
-    @raise Invalid_argument if [u] is not system-sized. *)
 
 type stimulus_site =
   | S_vsource of int  (** branch-equation row of the source *)
@@ -166,8 +145,9 @@ type workspace = {
   w_z : Numerics.Vec.t;  (** right-hand side *)
   mutable w_x : Numerics.Vec.t;  (** Newton iterate *)
   mutable w_x_new : Numerics.Vec.t;  (** Newton solve output / next iterate *)
-  mutable w_factors : int;  (** factorizations by {!ws_factor} so far *)
-  mutable w_reuses : int;  (** of those, sparse pattern replays *)
+  mutable w_reuses : int;
+      (** factorizations by {!ws_factor} so far that were sparse pattern
+          replays *)
 }
 (** Preallocated solve state sized for one compiled topology.  The two
     iterate buffers are swapped (never reallocated) by the Newton loop.
@@ -179,11 +159,11 @@ type workspace = {
 val workspace : t -> workspace
 (** A workspace on the topology's backend. *)
 
-val ws_factor : workspace -> bool
-(** Factor the workspace's assembled system in place.  Returns [true]
-    when the sparse backend replayed a held pattern ({!Numerics.Smat.refactor})
-    instead of paying the full symbolic pass — a pure optimization,
-    bit-identical either way; always [false] on the dense backend.
+val ws_factor : workspace -> unit
+(** Factor the workspace's assembled system in place.  The sparse
+    backend replays a held pattern ({!Numerics.Smat.refactor}) when it
+    can instead of paying the full symbolic pass — a pure optimization,
+    bit-identical either way, counted in [w_reuses].
     @raise Numerics.Mat.Singular if the system is numerically singular
     (same payload on both backends). *)
 
@@ -201,35 +181,6 @@ val ws_sparse_stats : workspace -> Numerics.Smat.stats option
 val ws_sparse_lu : workspace -> Numerics.Smat.lu option
 (** The sparse factorization workspace, for blocked multi-RHS solves
     ({!Numerics.Smat.solve_block}); [None] on dense. *)
-
-type held
-(** A retained factorization plus rank-1 solve scratch — the
-    backend-agnostic face of the continuation's held state. *)
-
-val held : t -> held
-(** An (empty) held slot on the topology's backend. *)
-
-val held_factored : held -> bool
-
-val hold : workspace -> held -> unit
-(** Copy the workspace's current factorization into the held slot.
-    @raise Invalid_argument on a backend mismatch or if the workspace
-    was never factored. *)
-
-val held_rank1_solve :
-  held ->
-  u:Numerics.Vec.t ->
-  v:Numerics.Vec.t ->
-  dg:float ->
-  b:Numerics.Vec.t ->
-  x:Numerics.Vec.t ->
-  bool
-(** Sherman-Morrison solve of [(A + dg u v^T) x = b] against the held
-    factorization of [A] — {!Numerics.Mat.rank1_solve} semantics on
-    either backend, bit-identical across them (same solves, same dots,
-    same cancellation guard).  [false] means the conditioning guard
-    declined and the caller must factor fresh.
-    @raise Invalid_argument if nothing is held or [b == x]. *)
 
 val assemble :
   t ->

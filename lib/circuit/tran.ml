@@ -75,7 +75,7 @@ let tally_cells = newton_bounds.(Array.length newton_bounds - 1) + 2
 let max_depth = 4
 
 let simulate ?(options = Dc.default_options) ?(method_ = Backward_euler)
-    ?workspace ?restamp ?continuation sys ~tstop ~dt ~observe =
+    ?workspace ?restamp sys ~tstop ~dt ~observe =
   if tstop <= 0. then invalid_arg "Tran.simulate: tstop must be > 0";
   if dt <= 0. then invalid_arg "Tran.simulate: dt must be > 0";
   let n_steps = int_of_float (Float.round (tstop /. dt)) in
@@ -86,14 +86,8 @@ let simulate ?(options = Dc.default_options) ?(method_ = Backward_euler)
   let companions = Some cp in
   (* trapezoidal capacitor currents at the previous time point *)
   let cap_i = Array.make (Array.length reactives) 0. in
-  (* Only the initial operating point takes the continuation: per-step
-     solves already warm-start from the previous step, and their
-     companion-laden systems would poison the held factorization for the
-     next probe's t=0 solve. *)
   let x0 =
-    (Dc.solve ~options ?workspace ?restamp ?continuation sys
-       ~time:(`Time 0.))
-      .Dc.solution
+    (Dc.solve ~options ?workspace ?restamp sys ~time:(`Time 0.)).Dc.solution
   in
   let observe_idx =
     Array.of_list

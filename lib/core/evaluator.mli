@@ -28,7 +28,6 @@ exception Budget_exhausted of { config_id : int; budget : int }
 val create :
   ?profile:Execute.profile ->
   ?mode:mode ->
-  ?continuation:bool ->
   ?batching:bool ->
   ?backend:Circuit.Mna.backend ->
   Test_config.t ->
@@ -43,18 +42,7 @@ val create :
     sweeps into config-major batched evaluation
     ({!batched_fault_sensitivities}); disabling it forces every consumer
     onto the sequential per-(fault, point) path — the reference
-    implementation batched results are bit-compared against.
-
-    [continuation] (default [false]) opts impact-ladder probes
-    ({!sensitivity} with [~continue:true]) on the compiled path into
-    warm-start continuation: ladder probes of one fault site share an
-    {!Execute.continuation} store, so the impact ladder's solves seed
-    Newton from the previous level and may take rank-1 first steps (see
-    {!Circuit.Dc.solve}).  Optimizer probes and nominal observables are
-    never continued, and each fault's store is private to that fault, so
-    results stay a pure function of the fault — identical across
-    [--jobs N] — but are tolerance-identical rather than bit-identical
-    to a non-continuation run. *)
+    implementation batched results are bit-compared against. *)
 
 val with_profile : t -> Execute.profile -> t
 (** A derived evaluator with a different execution profile (used by the
@@ -88,9 +76,6 @@ val nominal_target : t -> Execute.target
 val profile : t -> Execute.profile
 val mode : t -> mode
 
-val continuation_enabled : t -> bool
-(** Whether {!create} enabled warm-start continuation. *)
-
 val batching_enabled : t -> bool
 (** Whether {!create} admitted config-major batched evaluation. *)
 
@@ -110,27 +95,15 @@ val detected_sentinel : float
     all (-1e6): a macro whose faulty version does not even reach an
     operating point is trivially caught on the tester. *)
 
-val sensitivity :
-  ?continue:bool -> t -> Faults.Fault.t -> Numerics.Vec.t -> float
+val sensitivity : t -> Faults.Fault.t -> Numerics.Vec.t -> float
 (** [S_f(T)]: injects the fault into the nominal netlist, measures, and
     scores against the memoized nominal response and the box model.
     Returns {!detected_sentinel} if the faulty simulation fails.
-
-    [continue] (default [false]) marks this probe as part of the fault's
-    impact ladder: on an evaluator created with [~continuation:true] it
-    warm-starts the solves from the previous ladder level.  Leave it off
-    for probes that vary the parameter values (the optimizer), which
-    must stay bit-identical to a non-continuation run — continuation is
-    a homotopy in the impact, not in [T].
     @raise Execute.Execution_failure if the {e nominal} simulation fails
     (a setup error, not a fault effect). *)
 
 val sensitivity_and_deviation :
-  ?continue:bool ->
-  t ->
-  Faults.Fault.t ->
-  Numerics.Vec.t ->
-  float * float array
+  t -> Faults.Fault.t -> Numerics.Vec.t -> float * float array
 (** Sensitivity together with the per-return-value deviations (reports).
     The deviation array is empty when the faulty simulation failed. *)
 
@@ -151,29 +124,9 @@ val sensitivity_gradient :
     @raise Execute.Execution_failure if the {e nominal} simulation
     fails. *)
 
-val faulty_observables :
-  ?continue:bool -> t -> Faults.Fault.t -> Numerics.Vec.t -> float array
-(** Raw faulty measurement (no memoization).  [continue] as in
-    {!sensitivity}.
+val faulty_observables : t -> Faults.Fault.t -> Numerics.Vec.t -> float array
+(** Raw faulty measurement (no memoization).
     @raise Execute.Execution_failure on simulator failure. *)
-
-val batched_sensitivities :
-  t ->
-  faults:Faults.Fault.t list ->
-  Numerics.Vec.t ->
-  (float * float array) array option
-(** Batched sensitivities-and-deviations for faults sharing one site
-    (one {!Faults.Fault.id}, hence one compiled topology and stamp
-    pattern): the whole group is swept through
-    {!Execute.compiled_dc_levels_batch} — per fault one restamp and one
-    pattern-reuse refactorization, all probe levels solved in one
-    blocked triangular sweep on the sparse backend.  Each fault still
-    charges one evaluation.  [None] sends the caller to the sequential
-    per-fault path: legacy mode, an empty or mixed-site group, or a
-    plan outside the batchable (linear, DC-levels) family; results are
-    then taken fault by fault via {!sensitivity_and_deviation}, which
-    this path matches to solver tolerance.
-    @raise Execute.Execution_failure if the nominal simulation fails. *)
 
 val batched_fault_sensitivities :
   t ->
@@ -197,7 +150,7 @@ val batched_fault_sensitivities :
     [evaluator.batch.fallback_seq]).
 
     [None] — caller keeps its sequential loop — when batching is
-    disabled, the evaluator is in legacy or continuation mode, the plan
+    disabled, the evaluator is in legacy mode, the plan
     family is non-batchable (nonlinear topology or a non-DC-levels
     analysis), or failure injection is active (batching would reorder
     the injection draws).

@@ -106,48 +106,12 @@ let compile ?backend config target =
 let compiled_target c = c.c_target
 let compiled_config c = c.c_config
 
-(* Per-(fault, configuration) continuation store for the impact ladder:
-   one {!Dc.continuation} per DC solve site of a probe, allocated lazily
-   in probe order.  The cursor resets at every [compiled_observables]
-   call, so the k-th DC solve of one probe always continues from the
-   k-th DC solve of the previous probe of the same store — the homotopy
-   pairing the impact walk needs.  A store belongs to one compiled plan
-   and one domain, like the plan's workspace. *)
-type continuation = {
-  mutable ct_slots : Dc.continuation option array;
-  mutable ct_cursor : int;
-}
-
-let continuation () = { ct_slots = Array.make 4 None; ct_cursor = 0 }
-
-let continuation_slot ct sys =
-  let n = Array.length ct.ct_slots in
-  if ct.ct_cursor >= n then begin
-    let bigger = Array.make (2 * n) None in
-    Array.blit ct.ct_slots 0 bigger 0 n;
-    ct.ct_slots <- bigger
-  end;
-  let slot =
-    match ct.ct_slots.(ct.ct_cursor) with
-    | Some s -> s
-    | None ->
-        let s = Dc.continuation sys in
-        ct.ct_slots.(ct.ct_cursor) <- Some s;
-        s
-  in
-  ct.ct_cursor <- ct.ct_cursor + 1;
-  slot
-
 (* How an analysis obtains a simulatable system for one probe wave:
    the legacy path rewrites the netlist and re-indexes it per probe; the
    compiled path restamps the precompiled plan's workspace. *)
 type engine =
   | Direct of target
-  | Restamp of {
-      c : compiled;
-      impact : (string * float) option;
-      cont : continuation option;
-    }
+  | Restamp of { c : compiled; impact : (string * float) option }
 
 let engine_target = function Direct t -> t | Restamp { c; _ } -> c.c_target
 
@@ -156,7 +120,6 @@ type inst = {
   i_ws : Mna.workspace option;
   i_restamp : Mna.restamp option;
   i_ac : Ac.workspace option;
-  i_cont : Dc.continuation option;
 }
 
 let instantiate engine wave =
@@ -165,14 +128,8 @@ let instantiate engine wave =
       let nl =
         with_stimulus target.netlist ~source:target.stimulus_source wave
       in
-      {
-        i_sys = Mna.build nl;
-        i_ws = None;
-        i_restamp = None;
-        i_ac = None;
-        i_cont = None;
-      }
-  | Restamp { c; impact; cont } ->
+      { i_sys = Mna.build nl; i_ws = None; i_restamp = None; i_ac = None }
+  | Restamp { c; impact } ->
       let source = c.c_target.stimulus_source in
       (* the legacy path validates each probe wave when it is inserted
          into the netlist; keep the same rejection (and message shape) *)
@@ -185,10 +142,6 @@ let instantiate engine wave =
         i_ws = Some c.c_ws;
         i_restamp = Some { Mna.stimulus = Some (source, wave); impact };
         i_ac = c.c_ac;
-        i_cont =
-          (match cont with
-          | Some ct -> Some (continuation_slot ct c.c_plan)
-          | None -> None);
       }
 
 (* The one operating-point helper shared by the DC, noise and AC arms:
@@ -196,8 +149,8 @@ let instantiate engine wave =
    execution failure. *)
 let operating_point ~options inst =
   match
-    Dc.solve ~options ?workspace:inst.i_ws ?restamp:inst.i_restamp
-      ?continuation:inst.i_cont inst.i_sys ~time:`Dc
+    Dc.solve ~options ?workspace:inst.i_ws ?restamp:inst.i_restamp inst.i_sys
+      ~time:`Dc
   with
   | report -> report.Dc.solution
   | exception Dc.No_convergence msg -> raise (Execution_failure msg)
@@ -211,7 +164,7 @@ let transient ~options ~dt_divisor inst ~observe ~tstop ~dt =
   let dt_fine = dt /. float_of_int k in
   match
     Tran.simulate ~options ?workspace:inst.i_ws ?restamp:inst.i_restamp
-      ?continuation:inst.i_cont inst.i_sys ~tstop ~dt:dt_fine
+      inst.i_sys ~tstop ~dt:dt_fine
       ~observe:[ observe ]
   with
   | result ->
@@ -324,118 +277,8 @@ let observables_of engine ~profile config values =
 let observables ?(profile = default_profile) config target values =
   observables_of (Direct target) ~profile config values
 
-let compiled_observables ?(profile = default_profile) ?impact ?continuation c
-    values =
-  (match continuation with
-  | Some ct -> ct.ct_cursor <- 0
-  | None -> ());
-  observables_of
-    (Restamp { c; impact; cont = continuation })
-    ~profile c.c_config values
-
-(* ------------------------------------------------------------------ *)
-(* Batched multi-fault solves: one pattern, many impacts, blocked RHS   *)
-(* ------------------------------------------------------------------ *)
-
-(* Faults at one site share the compiled plan's stamp pattern and differ
-   only in the impact resistance, so a sweep over them is the ideal
-   batching shape: per impact the system matrix is restamped and
-   refactored once — a numeric-only pattern replay on the sparse
-   backend — and, because a linear plan's matrix does not depend on the
-   stimulus level, all of a DC-levels analysis' probe levels then solve
-   against that single factorization in one blocked triangular sweep.
-   Valid for linear plans only (no MOSFETs): there the assembled system
-   is exact, one solve IS the operating point, and each blocked column's
-   floats are identical to a sequential [solve_into] of that column. *)
-let compiled_dc_levels_batch ?(profile = default_profile) c ~impacts values =
-  check_values c.c_config values;
-  match c.c_config.Test_config.analysis with
-  | Test_config.Tran_thd _ | Test_config.Tran_samples _ | Test_config.Tran_imd _
-  | Test_config.Noise_psd _ | Test_config.Ac_gain _ ->
-      None
-  | Test_config.Dc_levels waves ->
-      let nonlinear =
-        List.exists
-          (function Device.Mosfet _ -> true | _ -> false)
-          (Netlist.devices (Mna.netlist c.c_plan))
-      in
-      if nonlinear then None
-      else begin
-        let target = c.c_target in
-        let source = target.stimulus_source in
-        let ws = c.c_ws in
-        let waves = Array.of_list (waves values) in
-        let m = Array.length waves in
-        let n = Mna.size c.c_plan in
-        let gmin = profile.dc_options.Dc.gmin in
-        let x0 = Numerics.Vec.create n 0. in
-        let obs_row = Mna.node_index c.c_plan target.observe_node in
-        Array.iter
-          (fun w ->
-            match Waveform.validate w with
-            | Ok () -> ()
-            | Error e ->
-                invalid_arg (Printf.sprintf "Netlist.add: %s: %s" source e))
-          waves;
-        let n_impacts = Array.length impacts in
-        let out = Array.make_matrix n_impacts m 0. in
-        let factor_or_fail () =
-          match Mna.ws_factor ws with
-          | (_ : bool) -> ()
-          | exception Numerics.Mat.Singular _ ->
-              raise (Execution_failure "batched DC levels: singular system")
-        in
-        (match Mna.ws_sparse_lu ws with
-        | Some slu ->
-            let b =
-              Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout n m
-            in
-            let xb =
-              Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout n m
-            in
-            Array.iteri
-              (fun fi impact ->
-                for r = 0 to m - 1 do
-                  Mna.assemble_into c.c_plan ws ~x:x0 ~time:`Dc
-                    ~restamp:{ Mna.stimulus = Some (source, waves.(r)); impact }
-                    ~gmin ();
-                  for i = 0 to n - 1 do
-                    b.{i, r} <- ws.Mna.w_z.(i)
-                  done
-                done;
-                factor_or_fail ();
-                Numerics.Smat.solve_block slu ~b ~x:xb;
-                (match obs_row with
-                | Some row ->
-                    for r = 0 to m - 1 do
-                      out.(fi).(r) <- xb.{row, r}
-                    done
-                | None -> ()))
-              impacts
-        | None ->
-            (* dense fallback: still one factorization per impact, levels
-               solved sequentially against it *)
-            let zs = Array.init m (fun _ -> Numerics.Vec.create n 0.) in
-            let x = Numerics.Vec.create n 0. in
-            Array.iteri
-              (fun fi impact ->
-                for r = 0 to m - 1 do
-                  Mna.assemble_into c.c_plan ws ~x:x0 ~time:`Dc
-                    ~restamp:{ Mna.stimulus = Some (source, waves.(r)); impact }
-                    ~gmin ();
-                  Array.blit ws.Mna.w_z 0 zs.(r) 0 n
-                done;
-                factor_or_fail ();
-                (match obs_row with
-                | Some row ->
-                    for r = 0 to m - 1 do
-                      Mna.ws_solve_into ws zs.(r) x;
-                      out.(fi).(r) <- x.(row)
-                    done
-                | None -> ()))
-              impacts);
-        Some out
-      end
+let compiled_observables ?(profile = default_profile) ?impact c values =
+  observables_of (Restamp { c; impact }) ~profile c.c_config values
 
 (* ------------------------------------------------------------------ *)
 (* Config-major fault batching: one factorization per fault, the whole  *)
@@ -451,63 +294,28 @@ type fault_batch = {
    plan.  The assembled system of a linear (MOSFET-free) topology does
    not depend on the Newton iterate, so every iteration's raw solve
    produces the same vector [s] and the sequential trajectory is a pure
-   damping walk toward it: [x <- x + alpha * (s - x)] with [alpha]
-   bounded by the node-voltage limit.  Replaying that walk term for term
-   — the same [Float.max] reduction for the step bound, the same update
-   form (kept even at [alpha = 1.], where it is not a bitwise no-op),
-   the same node-only convergence test on the damped iterate —
-   reproduces the converged solution bit for bit without touching the
-   factorization again.  Returns the buffer holding the converged
+   damping walk toward it, through the solver's own {!Dc.damp} — so the
+   replay reproduces the converged solution bit for bit without touching
+   the factorization again.  Returns the buffer holding the converged
    iterate, or [None] when the walk does not converge inside the Newton
    budget (the sequential path then enters its gmin/source stepping
    ladders, which the caller must replay verbatim, fault by fault). *)
 let replay_damped ~options ~n_nodes ~s xa xb =
-  let size = Array.length s in
   let finite = ref true in
   for i = 0 to n_nodes - 1 do
     if not (Float.is_finite s.(i)) then finite := false
   done;
   if not !finite then None
   else begin
-    let vlimit = options.Dc.vlimit in
-    let abstol = options.Dc.abstol and reltol = options.Dc.reltol in
-    Array.fill xa 0 size 0.;
+    Array.fill xa 0 (Array.length s) 0.;
     let cur = ref xa and nxt = ref xb in
     let converged = ref false in
     let iters = ref 0 in
     while (not !converged) && !iters < options.Dc.max_newton do
       incr iters;
-      let x = !cur and x_new = !nxt in
-      (* The sequential walk blits [s] into [x_new] and then reduces,
-         updates and tests over it in separate passes; here the blit is
-         folded away ([x_new.(i)] {e is} [s.(i)] at that point) and the
-         update and convergence passes fused — every arithmetic
-         expression below is term-for-term the sequential one, so the
-         trajectory stays bitwise identical. *)
-      let dv_max = ref 0. in
-      for i = 0 to n_nodes - 1 do
-        dv_max := Float.max !dv_max (Float.abs (s.(i) -. x.(i)))
-      done;
-      let alpha = if !dv_max > vlimit then vlimit /. !dv_max else 1. in
-      if alpha = 1. then begin
-        let ok = ref true in
-        for i = 0 to size - 1 do
-          let xi = x.(i) in
-          let xn = xi +. (alpha *. (s.(i) -. xi)) in
-          x_new.(i) <- xn;
-          if i < n_nodes then begin
-            let dx = Float.abs (xn -. xi) in
-            if dx > abstol +. (reltol *. Float.abs xn) then ok := false
-          end
-        done;
-        converged := !ok
-      end
-      else
-        for i = 0 to size - 1 do
-          let xi = x.(i) in
-          x_new.(i) <- xi +. (alpha *. (s.(i) -. xi))
-        done;
-      cur := x_new;
+      let x = !cur in
+      converged := Dc.damp ~options ~n_nodes ~x ~s ~out:!nxt;
+      cur := !nxt;
       nxt := x
     done;
     if !converged then Some !cur else None
@@ -617,7 +425,7 @@ let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
                     done
                   done;
                   match Mna.ws_factor ws with
-                  | (_ : bool) ->
+                  | () ->
                       Numerics.Smat.solve_block slu ~b ~x:xs;
                       incr panels;
                       out.(fi) <-
@@ -641,7 +449,7 @@ let compiled_batch_over_faults ?(profile = default_profile) c ~impacts ~points =
                     done
                   done;
                   match Mna.ws_factor ws with
-                  | (_ : bool) ->
+                  | () ->
                       incr panels;
                       out.(fi) <-
                         replay_points (fun k ->
@@ -771,7 +579,7 @@ let gradient ?(profile = default_profile) config target values =
   gradient_of (Direct target) ~profile config values
 
 let compiled_gradient ?(profile = default_profile) ?impact c values =
-  gradient_of (Restamp { c; impact; cont = None }) ~profile c.c_config values
+  gradient_of (Restamp { c; impact }) ~profile c.c_config values
 
 let deviations config ~nominal ~faulty =
   if Array.length nominal <> Array.length faulty then

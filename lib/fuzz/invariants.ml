@@ -287,53 +287,6 @@ let crash_safety ctx =
                 end
             end))
 
-(* -- continuation-compat ------------------------------------------------ *)
-
-let continuation_compat ctx =
-  let cont_built = Scenario.build ~continuation:true ctx.built.Scenario.spec in
-  let crun = base_run cont_built in
-  let pair =
-    try
-      Some
-        (List.combine ctx.run.Engine.results crun.Engine.results)
-    with Invalid_argument _ -> None
-  in
-  match pair with
-  | None ->
-      fail "continuation run produced %d results, baseline %d"
-        (List.length crun.Engine.results)
-        (List.length ctx.run.Engine.results)
-  | Some pairs ->
-      let bad =
-        List.filter_map
-          (fun (a, b) ->
-            if not (String.equal a.Generate.fault_id b.Generate.fault_id) then
-              Some (a.Generate.fault_id ^ ": fault order differs")
-            else
-              match (a.Generate.outcome, b.Generate.outcome) with
-              | ( Generate.Unique { config_id = ca; critical_impact = ia; _ },
-                  Generate.Unique { config_id = cb; critical_impact = ib; _ } )
-                ->
-                  if ca <> cb then
-                    Some
-                      (Printf.sprintf "%s: winner #%d vs #%d" a.Generate.fault_id
-                         ca cb)
-                  else
-                    let ratio = Float.max (ia /. ib) (ib /. ia) in
-                    if ratio > 1.25 then
-                      Some
-                        (Printf.sprintf "%s: critical impact ratio %.3f"
-                           a.Generate.fault_id ratio)
-                    else None
-              | Generate.Undetectable _, Generate.Undetectable _ -> None
-              | Generate.Unique _, Generate.Undetectable _
-              | Generate.Undetectable _, Generate.Unique _ ->
-                  Some (a.Generate.fault_id ^ ": outcome flavour differs"))
-          pairs
-      in
-      if bad = [] then Pass
-      else fail "continuation incompatible: %s" (String.concat "; " bad)
-
 (* -- self-test ----------------------------------------------------------- *)
 
 (* A deliberately planted violation: fails on every scenario with more
@@ -358,7 +311,6 @@ let all =
     { name = "inject-contract"; check = inject_contract };
     { name = "inject-parity"; check = inject_parity };
     { name = "crash-safety"; check = crash_safety };
-    { name = "continuation-compat"; check = continuation_compat };
   ]
 
 let self_test_invariant = { name = "self-test"; check = self_test }

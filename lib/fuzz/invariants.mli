@@ -23,10 +23,7 @@
     - [crash-safety] — a run torn mid-checkpoint-write (via the
       [session.torn_write] failure point) recovers with
       {!Testgen.Session.checkpoint_resume} and finishes to a checkpoint
-      file byte-identical to an uninterrupted run's;
-    - [continuation-compat] — warm-start continuation keeps every
-      fault's outcome flavour and winning configuration, with critical
-      impacts within a factor 1.25. *)
+      file byte-identical to an uninterrupted run's. *)
 
 type outcome = Pass | Skip of string | Fail of string
 

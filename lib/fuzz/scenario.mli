@@ -55,15 +55,12 @@ type built = {
   evaluators : Testgen.Evaluator.t list;
 }
 
-val build : ?continuation:bool -> spec -> built
+val build : spec -> built
 (** Expand a spec (deterministically) into a runnable scenario:
     floor-only tolerance boxes, the fast execution profile, compiled
-    evaluators.  [continuation] (default false) enables warm-start
-    continuation, the variant the continuation-compatibility invariant
-    compares against. *)
+    evaluators. *)
 
 val evaluators_of :
-  ?continuation:bool ->
   ?backend:Circuit.Mna.backend ->
   Macros.Macro.t ->
   Testgen.Test_config.t list ->

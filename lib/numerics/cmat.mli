@@ -24,27 +24,8 @@ val mul_vec : t -> Complex.t array -> Complex.t array
 val transpose : t -> t
 (** Plain transpose (no conjugation) — used by adjoint noise analysis. *)
 
-val rank1_update : t -> i:int -> j:int -> dg:Complex.t -> unit
-(** [rank1_update m ~i ~j ~dg] applies the symmetric two-terminal
-    conductance delta [dg * (e_i - e_j)(e_i - e_j)^T] in place:
-    [+dg] at [(i,i)] and [(j,j)], [-dg] at [(i,j)] and [(j,i)].  A
-    negative index means the grounded terminal and its row/column are
-    skipped — the same convention as the MNA stamp plans.  This is the
-    complex-matrix half of the fault-impact rank-1 view: restamping a
-    bridge/pinhole resistance from [r0] to [r1] is exactly
-    [rank1_update ~dg:(1/r1 - 1/r0)] on the assembled system.
-    @raise Invalid_argument on a non-square matrix or an index out of
-    range. *)
-
 exception Singular of int
 
 val solve : t -> Complex.t array -> Complex.t array
 (** Solve [A x = b] by partial-pivoting LU (pivot on modulus).
-    @raise Singular when a pivot vanishes. *)
-
-val solve_transpose : t -> Complex.t array -> Complex.t array
-(** Solve [A^T x = b] (plain transpose, no conjugation) — the AC
-    analogue of {!Mat.solve_transpose_into} for adjoint small-signal
-    sensitivities.  Factors once with the same pivoting rule as
-    {!solve}, then runs the transposed triangular sweeps.
     @raise Singular when a pivot vanishes. *)

@@ -91,35 +91,6 @@ val solve_transpose_into : lu -> Vec.t -> Vec.t -> unit
     @raise Invalid_argument on dimension mismatch, aliasing, or an
     unfactored workspace. *)
 
-val lu_blit : src:lu -> dst:lu -> unit
-(** [lu_blit ~src ~dst] copies a factorization into another workspace of
-    the same size without allocating — the continuation hot path uses it
-    to retain a held factorization across Newton solves that overwrite
-    the shared workspace.
-    @raise Invalid_argument on size mismatch or an unfactored source. *)
-
-type rank1
-(** Scratch vectors for {!rank1_solve} — one per solver, reused across
-    calls. *)
-
-val rank1_workspace : int -> rank1
-(** [rank1_workspace n] preallocates rank-1 scratch for [n]-dimensional
-    systems. *)
-
-val rank1_solve :
-  lu -> rank1 -> u:Vec.t -> v:Vec.t -> dg:float -> b:Vec.t -> x:Vec.t -> bool
-(** [rank1_solve ws r1 ~u ~v ~dg ~b ~x] solves
-    [(A + dg * u * v^T) x = b] in O(n^2) by Sherman–Morrison against the
-    held factorization [ws] of [A]: with [y = A^-1 b] and [w = A^-1 u],
-    [x = y - (dg * (v.y) / (1 + dg * (v.w))) * w].  Returns [true] on
-    success with [x] written; returns [false] without touching [x] when
-    the denominator [1 + dg * (v.w)] fails the conditioning guard
-    (catastrophic cancellation, i.e. the update is near-singular) — the
-    caller must then fall back to a full refactorization, which is
-    bit-exact with the ordinary {!factor_in_place}/{!solve_into} path.
-    @raise Invalid_argument on dimension mismatch, aliasing of [b] and
-    [x], or an unfactored workspace. *)
-
 val lu_size : lu -> int
 
 val lu_pivots : lu -> int array

@@ -124,9 +124,6 @@ let test_decline_gates () =
     (first_evaluator (ctx ~batching:false ladder));
   declines "legacy mode"
     (first_evaluator (Experiments.Setup.probe ~mode:`Legacy ~macro:ladder ()));
-  declines "continuation mode"
-    (first_evaluator
-       (Experiments.Setup.probe ~continuation:true ~macro:ladder ()));
   (* a MOSFET-bearing topology is outside the batchable family *)
   Alcotest.(check bool) "nonlinear topology" true
     (Evaluator.batched_fault_sensitivities

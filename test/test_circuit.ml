@@ -342,7 +342,35 @@ let test_dc_gmin_stepping_path () =
   check_float ~eps:1e-3 "same operating point" 2.4997
     (Mna.voltage sys report.Dc.solution "vout")
 
-(* ------------------------------------------- DC rank-1 continuation *)
+(* The damped update is the one walk both the Newton loop and the batch
+   replay take: the node step is bounded by vlimit (branch currents ride
+   the same alpha), convergence is judged on node voltages of a full
+   step only, and updating in place gives the same bits. *)
+let test_dc_damp () =
+  let options = Dc.default_options in
+  let n_nodes = 2 in
+  let x = [| 0.; 0.; 0. |] in
+  let s = [| 1.2; 0.3; 5. |] in
+  let out = Array.make 3 Float.nan in
+  Alcotest.(check bool) "a damped step never converges" false
+    (Dc.damp ~options ~n_nodes ~x ~s ~out);
+  check_float ~eps:0. "largest node step bounded" 0.6 out.(0);
+  check_float ~eps:0. "other node scaled alike" 0.15 out.(1);
+  check_float ~eps:0. "branch scaled alike" 2.5 out.(2);
+  let s' = Array.copy s in
+  ignore (Dc.damp ~options ~n_nodes ~x ~s:s' ~out:s' : bool);
+  Alcotest.(check bool) "in-place update bit-identical" true
+    (Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       out s');
+  let x = [| 1.; 2.; 0. |] in
+  let s = [| 1.; 2. +. 1e-12; 7. |] in
+  let out = Array.make 3 0. in
+  Alcotest.(check bool) "small full step converges on the nodes" true
+    (Dc.damp ~options ~n_nodes ~x ~s ~out);
+  check_float ~eps:0. "branch takes the full step" 7. out.(2)
+
+(* ------------------------------------------------ DC impact site *)
 
 let test_mna_impact_site () =
   let sys = Mna.build (divider 10. 1e3 3e3) in
@@ -363,96 +391,6 @@ let test_mna_impact_site () =
     (Mna.impact_site sys "nope" = None);
   Alcotest.(check bool) "vsource is not a resistor" true
     (Mna.impact_site sys "vin" = None)
-
-let test_mna_impact_rank1 () =
-  let sys = Mna.build (divider 10. 1e3 3e3) in
-  (match Mna.impact_rank1 sys ~device:"r1" ~r_from:1e3 ~r_to:4e3 with
-  | Some r1 ->
-      check_float ~eps:1e-15 "dg = 1/r_to - 1/r_from"
-        ((1. /. 4e3) -. (1. /. 1e3))
-        r1.Mna.r1_dg;
-      let u = Array.make (Mna.size sys) Float.nan in
-      Mna.rank1_direction sys r1 u;
-      let idx name = Option.get (Mna.node_index sys name) in
-      check_float ~eps:0. "u at top" 1. u.(idx "top");
-      check_float ~eps:0. "u at mid" (-1.) u.(idx "mid");
-      Array.iteri
-        (fun k uk ->
-          if k <> idx "top" && k <> idx "mid" then
-            check_float ~eps:0. "u elsewhere" 0. uk)
-        u
-  | None -> Alcotest.fail "r1 should have a rank-1 view");
-  match Mna.impact_rank1 sys ~device:"vin" ~r_from:1e3 ~r_to:2e3 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "vsource must have no rank-1 view"
-
-(* the nonlinear inverter with a restamped load resistor: the ladder of
-   load values plays the role of the fault-impact ladder *)
-let inverter_nl () =
-  Netlist.add_all (Netlist.empty ~title:"inv")
-    [
-      Device.Vsource { name = "vdd"; plus = "vdd"; minus = "0"; wave = Waveform.Dc 5. };
-      Device.Vsource { name = "vg"; plus = "g"; minus = "0"; wave = Waveform.Dc 1.2 };
-      r "rd" "vdd" "d" 10e3;
-      Device.Mosfet { name = "m1"; drain = "d"; gate = "g"; source = "0";
-                      model = nmos; w = 10e-6; l = 1e-6 };
-    ]
-
-let test_dc_continuation_warm_start () =
-  let sys = Mna.build (inverter_nl ()) in
-  let ws = Mna.workspace sys in
-  let ct = Dc.continuation sys in
-  let solve_at ?continuation r =
-    let restamp = { Mna.stimulus = None; impact = Some ("rd", r) } in
-    Dc.solve ~workspace:ws ~restamp ?continuation sys ~time:`Dc
-  in
-  let cold1 = solve_at 10e3 in
-  let warm1 = solve_at ~continuation:ct 10e3 in
-  check_float ~eps:1e-9 "first continuation solve matches cold"
-    (Mna.voltage sys cold1.Dc.solution "d")
-    (Mna.voltage sys warm1.Dc.solution "d");
-  (* second ladder level: warm start plus rank-1 first step *)
-  let cold2 = solve_at 8e3 in
-  let warm2 = solve_at ~continuation:ct 8e3 in
-  check_float ~eps:1e-6 "warm solution matches cold"
-    (Mna.voltage sys cold2.Dc.solution "d")
-    (Mna.voltage sys warm2.Dc.solution "d");
-  Alcotest.(check bool) "warm start saves iterations" true
-    (warm2.Dc.newton_iterations <= cold2.Dc.newton_iterations);
-  Alcotest.(check bool) "rank-1 first step skipped a factorization" true
-    (warm2.Dc.factorizations < warm2.Dc.newton_iterations);
-  (* a large jump down the ladder still lands on the cold solution *)
-  let cold3 = solve_at 100. in
-  let warm3 = solve_at ~continuation:ct 100. in
-  check_float ~eps:1e-6 "large jump matches cold"
-    (Mna.voltage sys cold3.Dc.solution "d")
-    (Mna.voltage sys warm3.Dc.solution "d")
-
-let test_dc_continuation_ladder_parity () =
-  let sys = Mna.build (inverter_nl ()) in
-  let ws = Mna.workspace sys in
-  let ct = Dc.continuation sys in
-  let ladder = [ 10e3; 12e3; 15e3; 9e3; 5e3; 2e3; 20e3 ] in
-  List.iter
-    (fun r ->
-      let restamp = { Mna.stimulus = None; impact = Some ("rd", r) } in
-      let cold = Dc.solve ~workspace:ws ~restamp sys ~time:`Dc in
-      let warm =
-        Dc.solve ~workspace:ws ~restamp ~continuation:ct sys ~time:`Dc
-      in
-      check_float ~eps:1e-6
-        (Printf.sprintf "ladder r=%g" r)
-        (Mna.voltage sys cold.Dc.solution "d")
-        (Mna.voltage sys warm.Dc.solution "d"))
-    ladder
-
-let test_dc_continuation_size_mismatch () =
-  let sys = Mna.build (inverter_nl ()) in
-  let other = Mna.build (divider 10. 1e3 3e3) in
-  let ct = Dc.continuation other in
-  match Dc.solve ~continuation:ct sys ~time:`Dc with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on continuation mismatch"
 
 let test_tran_trapezoidal_inductor () =
   (* RL step response under trapezoidal integration *)
@@ -769,14 +707,8 @@ let () =
           Alcotest.test_case "nmos inverter" `Quick test_dc_nmos_inverter;
           Alcotest.test_case "guess dimension" `Quick test_dc_guess_dimension;
           Alcotest.test_case "gmin stepping path" `Quick test_dc_gmin_stepping_path;
+          Alcotest.test_case "damped update" `Quick test_dc_damp;
           Alcotest.test_case "impact site" `Quick test_mna_impact_site;
-          Alcotest.test_case "impact rank-1 view" `Quick test_mna_impact_rank1;
-          Alcotest.test_case "continuation warm start" `Quick
-            test_dc_continuation_warm_start;
-          Alcotest.test_case "continuation ladder parity" `Quick
-            test_dc_continuation_ladder_parity;
-          Alcotest.test_case "continuation size mismatch" `Quick
-            test_dc_continuation_size_mismatch;
         ] );
       ( "tran",
         [

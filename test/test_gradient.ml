@@ -48,35 +48,6 @@ let prop_mat_transpose =
            (fun d -> Float.abs d <= 1e-9)
            (Vec.sub x reference))
 
-let prop_cmat_transpose =
-  QCheck.Test.make ~name:"Cmat.solve_transpose solves A^T x = b" ~count:200
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 9))
-    (fun (seed, n) ->
-      let rng = Rng.create (Int64.of_int ((seed * 17) + n)) in
-      let z () =
-        {
-          Complex.re = Rng.uniform rng ~lo:(-1.) ~hi:1.;
-          im = Rng.uniform rng ~lo:(-1.) ~hi:1.;
-        }
-      in
-      let a = Cmat.create n n in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          Cmat.set a i j (z ())
-        done;
-        Cmat.add_to a i i { Complex.re = float_of_int n; im = 0. }
-      done;
-      let b = Array.init n (fun _ -> z ()) in
-      let x = Cmat.solve_transpose a b in
-      let residual = Cmat.mul_vec (Cmat.transpose a) x in
-      let reference = Cmat.solve (Cmat.transpose a) b in
-      Array.for_all2
-        (fun r bi -> Complex.norm (Complex.sub r bi) <= 1e-9)
-        residual b
-      && Array.for_all2
-           (fun u v -> Complex.norm (Complex.sub u v) <= 1e-9)
-           x reference)
-
 (* ------------------------------------------------------- fixtures *)
 
 (* The default solver tolerance (abstol 1e-9) quantizes the computed
@@ -662,7 +633,6 @@ let () =
       ( "transpose",
         [
           QCheck_alcotest.to_alcotest prop_mat_transpose;
-          QCheck_alcotest.to_alcotest prop_cmat_transpose;
         ] );
       ( "scenario macros",
         [

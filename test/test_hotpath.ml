@@ -194,92 +194,6 @@ let test_engine_parity_injected () =
   Alcotest.(check bool) "injected runs identical" true
     (fingerprint legacy = fingerprint (injected `Compiled))
 
-(* ------------------------------------------ continuation compatibility *)
-
-(* Warm-start continuation is opt-in and scoped to ladder probes: on an
-   evaluator created with ~continuation:true, optimizer-style probes
-   (no [~continue]) must stay bit-identical to a plain compiled
-   evaluator, and ladder probes ([~continue:true]) must agree within
-   solver tolerance. *)
-let test_continuation_probe_gating () =
-  let config = Experiments.Iv_configs.config1 in
-  let mk continuation =
-    Evaluator.create ~mode:`Compiled ~continuation config ~nominal:iv_target
-      ~box_model:(Tolerance.floor_only config)
-  in
-  let plain = mk false and cont = mk true in
-  let values = Test_param.seeds_of config.Test_config.params in
-  List.iter
-    (fun ohms ->
-      let f = Faults.Fault.with_impact bridge ohms in
-      Alcotest.(check int64)
-        (Printf.sprintf "optimizer probe at %g ohm bit-identical" ohms)
-        (Int64.bits_of_float (Evaluator.sensitivity plain f values))
-        (Int64.bits_of_float (Evaluator.sensitivity cont f values)))
-    [ 10e3; 20e3; 40e3 ];
-  List.iter
-    (fun ohms ->
-      let f = Faults.Fault.with_impact bridge ohms in
-      let a = Evaluator.sensitivity plain f values in
-      let b = Evaluator.sensitivity ~continue:true cont f values in
-      Alcotest.(check bool)
-        (Printf.sprintf "ladder probe at %g ohm within tolerance (%.3g vs %.3g)"
-           ohms a b)
-        true
-        (Float.abs (a -. b) <= 1e-6 *. (1. +. Float.abs a)))
-    [ 10e3; 20e3; 40e3; 80e3; 160e3 ]
-
-let generate_result (r : Engine.fault_report) =
-  match r.Engine.report_outcome with
-  | Resilience.Ok g | Resilience.Recovered (g, _) -> Some g
-  | Resilience.Failed _ -> None
-
-(* End to end over the full dictionary: a continuation run must reach
-   the same verdicts as the legacy path — same fault order, same winning
-   configuration, same outcome flavour, and Unique critical impacts
-   within the tolerance-identity band (ratio <= 1.25). *)
-let test_engine_continuation_compatible () =
-  let legacy = run_mode `Legacy full_dictionary in
-  let config = Experiments.Iv_configs.config1 in
-  let cont_ev =
-    Evaluator.create ~mode:`Compiled ~continuation:true config
-      ~nominal:iv_target ~box_model:(Tolerance.floor_only config)
-  in
-  let cont =
-    Engine.run ~executor:Engine.sequential ~evaluators:[ cont_ev ]
-      full_dictionary
-  in
-  Alcotest.(check int) "same report count"
-    (List.length legacy.Engine.reports)
-    (List.length cont.Engine.reports);
-  List.iter2
-    (fun (l : Engine.fault_report) (c : Engine.fault_report) ->
-      Alcotest.(check string) "fault order" l.Engine.report_fault_id
-        c.Engine.report_fault_id;
-      match (generate_result l, generate_result c) with
-      | Some gl, Some gc -> begin
-          Alcotest.(check int)
-            (Printf.sprintf "%s: winning config" l.Engine.report_fault_id)
-            (Generate.best_config_id gl)
-            (Generate.best_config_id gc);
-          match (gl.Generate.outcome, gc.Generate.outcome) with
-          | ( Generate.Unique { critical_impact = a; _ },
-              Generate.Unique { critical_impact = b; _ } ) ->
-              let ratio = Float.max (a /. b) (b /. a) in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: critical impact ratio %.3f <= 1.25"
-                   l.Engine.report_fault_id ratio)
-                true (ratio <= 1.25)
-          | Generate.Undetectable _, Generate.Undetectable _ -> ()
-          | _ ->
-              Alcotest.fail
-                (l.Engine.report_fault_id ^ ": outcome flavour changed")
-        end
-      | None, None -> ()
-      | _ ->
-          Alcotest.fail (l.Engine.report_fault_id ^ ": failure pattern changed"))
-    legacy.Engine.reports cont.Engine.reports
-
 (* --------------------------------------------- dt_divisor decimation *)
 
 (* Step-train configuration with an awkward tstop/dt ratio: the product
@@ -521,12 +435,6 @@ let () =
             test_engine_parity_parallel;
           Alcotest.test_case "under failure injection" `Quick
             test_engine_parity_injected;
-        ] );
-      ( "continuation",
-        [
-          Alcotest.test_case "probe gating" `Quick test_continuation_probe_gating;
-          Alcotest.test_case "engine outcomes compatible" `Quick
-            test_engine_continuation_compatible;
         ] );
       ( "compiled step",
         [

@@ -341,26 +341,6 @@ let test_refactor_reuses_pattern () =
   Alcotest.(check int) "one reuse" 1 st.Smat.pattern_reuses;
   Alcotest.(check bool) "factor holds fill" true (st.Smat.factor_nnz > 0)
 
-let test_lu_blit_roundtrip () =
-  let rng = Rng.create 99L in
-  let _, sparse = random_mna_pair rng ~nodes:7 ~branches:3 in
-  let n = Smat.size sparse in
-  let src = Smat.lu_workspace n in
-  Smat.factor_in_place sparse src;
-  let dst = Smat.lu_workspace n in
-  Smat.lu_blit ~src ~dst;
-  let b = random_rhs rng n in
-  let x1 = Vec.create n 0. and x2 = Vec.create n 0. in
-  Smat.solve_into src b x1;
-  Smat.solve_into dst b x2;
-  Alcotest.(check bool) "blit solves identically" true (vec_bits_equal x1 x2);
-  (match Smat.lu_blit ~src ~dst:(Smat.lu_workspace (n + 1)) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected size mismatch");
-  match Smat.lu_blit ~src:(Smat.lu_workspace n) ~dst with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected unfactored source"
-
 let arrow_matrix n =
   (* dense hub row/column: the worst case for natural-order elimination
      (eliminating the hub first fills the whole trailing block) *)
@@ -437,9 +417,6 @@ let test_backend_end_to_end_identity () =
       (label "newton iterations agree")
       d.Circuit.Dc.newton_iterations s.Circuit.Dc.newton_iterations;
     Alcotest.(check int)
-      (label "factorization counts agree")
-      d.Circuit.Dc.factorizations s.Circuit.Dc.factorizations;
-    Alcotest.(check int)
       (label "dense path never replays a pattern")
       0 d.Circuit.Dc.pattern_reuses
   in
@@ -448,69 +425,6 @@ let test_backend_end_to_end_identity () =
   check_macro
     ~restamp:{ Circuit.Mna.stimulus = None; impact = Some ("r1a", 470.) }
     (Macros.Filter_chain.sk_chain ~stages:8)
-
-(* Batched multi-fault solves against the sequential reference: a group
-   of impacts on one bridge site must go through the blocked path and
-   reproduce the per-fault sensitivities and deviations; a mixed-site
-   group must be refused (None) so the caller falls back. *)
-let test_batched_matches_sequential () =
-  let macro = Macros.Filter_chain.sk_chain ~stages:4 in
-  let n_levels = 3 in
-  let config =
-    Testgen.Test_config.create ~id:951 ~name:"Sparse batched parity"
-      ~macro_type:macro.Macros.Macro.macro_type ~control_node:"in"
-      ~params:
-        [
-          Testgen.Test_param.create ~name:"v" ~units:"V" ~lower:1.0 ~upper:4.0
-            ~seed:2.0;
-        ]
-      ~analysis:
-        (Testgen.Test_config.Dc_levels
-           (fun v ->
-             List.init n_levels (fun k ->
-                 Circuit.Waveform.Dc (v.(0) +. (0.5 *. float_of_int k)))))
-      ~returns:Testgen.Test_config.Per_component
-      ~return_names:(List.init n_levels (Printf.sprintf "V(out)@%d"))
-      ~accuracy_floor:(List.init n_levels (fun _ -> 1e-3))
-      ~summary:"dc levels for the batched parity test"
-  in
-  let ev =
-    Testgen.Evaluator.create ~backend:Circuit.Mna.Sparse config
-      ~nominal:(Experiments.Setup.target_of_macro macro Macros.Process.nominal)
-      ~box_model:(Testgen.Tolerance.floor_only config)
-  in
-  let base = Faults.Fault.bridge "in" "s2o" ~resistance:10e3 in
-  let impacts = [ 10e3; 1e3; 200.; 47e3 ] in
-  let faults = List.map (Faults.Fault.with_impact base) impacts in
-  let values = Testgen.Test_param.seeds_of config.Testgen.Test_config.params in
-  let batched =
-    match Testgen.Evaluator.batched_sensitivities ev ~faults values with
-    | Some rows -> rows
-    | None -> Alcotest.fail "batched path refused a batchable plan"
-  in
-  Alcotest.(check int) "one row per fault" (List.length faults)
-    (Array.length batched);
-  List.iteri
-    (fun i f ->
-      let s_seq, dev_seq = Testgen.Evaluator.sensitivity_and_deviation ev f values in
-      let s_bat, dev_bat = batched.(i) in
-      Alcotest.(check bool)
-        (Printf.sprintf "impact %g sensitivity agrees" (List.nth impacts i))
-        true
-        (Float.abs (s_bat -. s_seq) <= 1e-9 *. (1. +. Float.abs s_seq));
-      Alcotest.(check bool)
-        (Printf.sprintf "impact %g deviations agree" (List.nth impacts i))
-        true
-        (Array.length dev_bat = Array.length dev_seq
-        && vec_close ~eps:1e-9 dev_bat dev_seq))
-    faults;
-  let other_site = Faults.Fault.bridge "in" "s1o" ~resistance:10e3 in
-  (match Testgen.Evaluator.batched_sensitivities ev ~faults:[ base; other_site ] values with
-  | None -> ()
-  | Some _ -> Alcotest.fail "mixed-site group must fall back");
-  match Testgen.Evaluator.batched_sensitivities ev ~faults:[] values with
-  | None -> ()
-  | Some _ -> Alcotest.fail "empty group must fall back"
 
 let () =
   Alcotest.run "sparse"
@@ -530,7 +444,6 @@ let () =
           Alcotest.test_case "guard falls back" `Quick
             test_refactor_guard_falls_back;
           Alcotest.test_case "pattern reuse" `Quick test_refactor_reuses_pattern;
-          Alcotest.test_case "lu_blit" `Quick test_lu_blit_roundtrip;
           QCheck_alcotest.to_alcotest prop_refactor_bit_exact;
           Alcotest.test_case "refactor declines pivot ties" `Quick
             test_refactor_pivot_ties;
@@ -546,7 +459,5 @@ let () =
         [
           Alcotest.test_case "end-to-end identity" `Quick
             test_backend_end_to_end_identity;
-          Alcotest.test_case "batched matches sequential" `Quick
-            test_batched_matches_sequential;
         ] );
     ]
